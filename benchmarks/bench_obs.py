@@ -206,8 +206,8 @@ def bench_traced_sockets(quick: bool) -> Dict[str, Any]:
             a.bus.enable()
             b.bus.enable()
         got = asyncio.Event()
-        a.register(0, lambda src, payload: got.set())
-        b.register(1, lambda src, payload: b.send(1, 0, payload))
+        a.register(0, 0, lambda src, payload: got.set())
+        b.register(0, 1, lambda src, payload: b.send(0, 1, 0, payload))
         await a.start()
         await b.start()
 
@@ -220,7 +220,7 @@ def bench_traced_sockets(quick: bool) -> Dict[str, Any]:
                     tuple(CommitMsg(VirtualTime(i * per_frame + j, 0), j) for j in range(per_frame))
                 )
             start = time.perf_counter()
-            a.send(0, 1, msg)
+            a.send(0, 0, 1, msg)
             await asyncio.wait_for(got.wait(), timeout=10.0)
             return time.perf_counter() - start
 

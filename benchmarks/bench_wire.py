@@ -194,12 +194,12 @@ def bench_sockets(quick: bool, prom_out: str = "") -> Dict[str, Any]:
 
         def on_b(src, payload):
             if echo[0]:
-                b.send(1, 0, payload)
+                b.send(0, 1, 0, payload)
             else:
                 received[0] += 1
 
-        a.register(0, lambda src, payload: got.set())
-        b.register(1, on_b)
+        a.register(0, 0, lambda src, payload: got.set())
+        b.register(0, 1, on_b)
         await a.start()
         await b.start()
 
@@ -207,7 +207,7 @@ def bench_sockets(quick: bool, prom_out: str = "") -> Dict[str, Any]:
             got.clear()
             msg = CommitMsg(VirtualTime(i, 0), i)
             start = time.perf_counter()
-            a.send(0, 1, msg)
+            a.send(0, 0, 1, msg)
             await asyncio.wait_for(got.wait(), timeout=10.0)
             return time.perf_counter() - start
 
@@ -224,7 +224,7 @@ def bench_sockets(quick: bool, prom_out: str = "") -> Dict[str, Any]:
         writes0, coalesced0 = a.writes, a.frames_coalesced
         start = time.perf_counter()
         for i in range(burst_frames):
-            a.send(0, 1, CommitMsg(VirtualTime(i, 1), i))
+            a.send(0, 0, 1, CommitMsg(VirtualTime(i, 1), i))
         deadline = start + 60.0
         while received[0] < burst_frames:
             if time.perf_counter() > deadline:

@@ -46,8 +46,8 @@ from repro.errors import (
     RetryLimitExceeded,
     TransactionAborted,
 )
-from repro.host import Placement, SessionHost
-from repro.transport.base import TenantTransport
+from repro.host import SessionHost
+from repro.transport.tcp import Placement
 from repro.vtime import LamportClock, VirtualTime
 
 __version__ = "1.0.0"
@@ -55,7 +55,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Session",
     "SessionHost",
-    "TenantTransport",
     "Placement",
     "SiteRuntime",
     "DInt",

@@ -80,11 +80,17 @@ register_replicable(DMap, lambda s, name, initial: s.create_map(name), alias="ma
 
 
 class Session:
-    """A collaboration session: a transport plus its participating sites."""
+    """A collaboration session: a transport plus its participating sites.
+
+    ``tenant`` names the collaboration set on the transport: every site of
+    the session is addressed as ``(tenant, site_id)``, so sessions with
+    different tenants can share one transport without seeing each other.
+    """
 
     def __init__(
         self,
         transport: Optional[Transport] = None,
+        tenant: int = 0,
         primary_selector: Optional[PrimarySelector] = None,
         max_retries: int = 50,
         delegation_enabled: bool = True,
@@ -92,7 +98,10 @@ class Session:
         batching: bool = False,
         roster: Optional[Iterable[int]] = None,
     ) -> None:
+        if tenant < 0:
+            raise ReproError(f"tenant id must be non-negative, got {tenant}")
         self.transport = transport if transport is not None else MemoryTransport()
+        self.tenant = tenant
         self.primary_selector = primary_selector
         self.max_retries = max_retries
         self.delegation_enabled = delegation_enabled
@@ -134,10 +143,8 @@ class Session:
         """The transport's deterministic scheduler, or None.
 
         Delegates to the transport capability protocol
-        (:meth:`repro.transport.base.Transport.scheduler`) instead of the
-        old ``isinstance(transport, SimTransport)`` sniffing, so wrapper
-        transports (e.g. :class:`~repro.transport.base.TenantTransport`)
-        surface the capability transparently.
+        (:meth:`repro.transport.base.Transport.scheduler`) instead of
+        sniffing the transport's type.
         """
         return self.transport.scheduler()
 
@@ -165,6 +172,7 @@ class Session:
         site = SiteRuntime(
             site_id,
             self.transport,
+            tenant=self.tenant,
             name=name,
             principal=principal,
             session=self,
@@ -178,6 +186,16 @@ class Session:
         for s in self.sites:
             s.roster = set(roster)
         return site
+
+    def detach(self) -> None:
+        """Release every site's transport address and failure subscription.
+
+        Frames still in flight to the session are then dropped by the
+        transport (counted, not raised) and failure notices no longer
+        reach it; other tenants on the transport are unaffected.
+        """
+        for site in self.sites:
+            site.detach()
 
     def add_sites(self, count: int, prefix: str = "site") -> List[SiteRuntime]:
         base = len(self.sites)
@@ -294,7 +312,7 @@ class Session:
         """Deterministic per-site metrics registry dumps, in site order.
 
         When the transport owns its own registry (the site −1 registry of
-        the TCP/asyncio transports: frame counters, dial telemetry), its
+        the TCP transport: frame counters, dial telemetry), its
         snapshot is appended after the sites so host-level wire metrics
         are not silently dropped from rollups.
         """

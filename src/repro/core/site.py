@@ -66,6 +66,7 @@ class SiteRuntime:
         self,
         site_id: int,
         transport: Transport,
+        tenant: int = 0,
         name: str = "",
         principal: str = "",
         session: Optional["Session"] = None,
@@ -78,6 +79,9 @@ class SiteRuntime:
         from repro.core.join import JoinManager
 
         self.site_id = site_id
+        #: The collaboration set this site belongs to; with ``site_id`` it
+        #: is the site's transport address.
+        self.tenant = tenant
         self.name = name or f"site{site_id}"
         self.principal = principal or self.name
         self.transport = transport
@@ -136,8 +140,13 @@ class SiteRuntime:
             GraphRepairAckMsg: self.failures.on_repair_ack,
             GraphRepairApplyMsg: self.failures.on_repair_apply,
         }
-        transport.register(site_id, self.dispatch)
-        transport.add_failure_listener(self._on_failure_notice)
+        transport.register(tenant, site_id, self.dispatch)
+        transport.add_failure_listener(tenant, self._on_failure_notice)
+
+    def detach(self) -> None:
+        """Release this site's transport address and failure subscription."""
+        self.transport.unregister(self.tenant, self.site_id)
+        self.transport.remove_failure_listener(self.tenant, self._on_failure_notice)
 
     # ------------------------------------------------------------------
     # Object factories

@@ -11,12 +11,11 @@ runtime that actually exercises that claim:
   shared event loop, one :class:`~repro.obs.events.EventBus` and one
   transport-level :class:`~repro.obs.metrics.MetricsRegistry` across all
   tenants.
-* Each tenant's :class:`~repro.core.session.Session` runs over a
-  :class:`~repro.transport.base.TenantTransport` facade, so the whole
-  protocol stack (site runtimes, engines, views, failure managers) is
-  completely unchanged — the facade routes through the transport's
-  tenant-scoped addressing (wire v3 frames on TCP, packed site ids on the
-  simulated/in-memory transports).
+* Each tenant's :class:`~repro.core.session.Session` is built directly
+  on the shared transport with its tenant id: every site is addressed as
+  ``(tenant, site)`` on every transport (and in every TCP frame), so the
+  protocol stack (site runtimes, engines, views, failure managers) needs
+  nothing tenant-specific.
 * Tenants activate **lazily**: an idle collaboration costs nothing until
   its first :meth:`SessionHost.tenant` call, and :meth:`SessionHost.evict`
   (or the ``max_active`` LRU bound) releases routing state again.  Frames
@@ -39,58 +38,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.session import Session
 from repro.errors import ReproError
 from repro.obs.events import EventBus
-from repro.transport.base import TenantTransport, Transport
-
-Addr = Tuple[str, int]
-
-
-class Placement:
-    """Maps ``(tenant, site)`` routing keys to process addresses.
-
-    The common SessionHost topology is *symmetric*: every tenant's site
-    ``i`` lives in the same process as every other tenant's site ``i``,
-    described once by ``site_addrs`` (site index → address).  Individual
-    tenants can deviate via ``per_tenant`` overrides — e.g. a migrated
-    collaboration whose replicas moved to other processes.
-
-    :class:`~repro.transport.tcp.TcpTransport` consumes this duck-typed
-    (``addr_of`` / ``sites_at``); without an explicit placement it falls
-    back to exactly the symmetric behaviour using its own address map.
-    """
-
-    def __init__(
-        self,
-        site_addrs: Dict[int, Addr],
-        per_tenant: Optional[Dict[int, Dict[int, Addr]]] = None,
-    ) -> None:
-        self.site_addrs = dict(site_addrs)
-        self.per_tenant: Dict[int, Dict[int, Addr]] = {
-            t: dict(m) for t, m in (per_tenant or {}).items()
-        }
-
-    def addr_of(self, tenant: int, site: int) -> Optional[Addr]:
-        """The endpoint hosting ``site`` of ``tenant`` (None if unknown)."""
-        override = self.per_tenant.get(tenant)
-        if override is not None and site in override:
-            return override[site]
-        return self.site_addrs.get(site)
-
-    def sites_at(self, tenant: int, addr: Addr) -> List[int]:
-        """Every site of ``tenant`` placed at ``addr`` (failure fan-out)."""
-        override = self.per_tenant.get(tenant, {})
-        sites = {s for s, a in self.site_addrs.items() if a == addr and s not in override}
-        sites.update(s for s, a in override.items() if a == addr)
-        return sorted(sites)
-
-
-class _ActiveTenant:
-    """One activated collaboration set: its session and its facade."""
-
-    __slots__ = ("session", "facade")
-
-    def __init__(self, session: Session, facade: TenantTransport) -> None:
-        self.session = session
-        self.facade = facade
+from repro.transport.base import Transport
 
 
 class SessionHost:
@@ -99,16 +47,16 @@ class SessionHost:
     ``local_sites`` is the slice of every tenant's site numbering this
     process hosts (the symmetric topology: the same indices for every
     tenant); ``roster`` is each collaboration's full membership, defaulting
-    to ``local_sites`` (single-process).  Tenant ids are positive integers
-    — 0 is the reserved unscoped namespace of pre-tenant sessions, which
-    can coexist on the same transport.
+    to ``local_sites`` (single-process).  Tenant ids are non-negative
+    integers; tenant 0 is an ordinary tenant (the one a plain
+    :class:`~repro.core.session.Session` uses by default).
 
     ``max_active`` bounds resident sessions LRU-style: activating tenant
     N+1 evicts the least-recently-used one.  Eviction is routing-level
-    (handlers and failure listeners detach; in-flight frames drop) — a
-    re-activated tenant starts a fresh session and must re-join its
-    relationships, which is the paper's late-joiner path, not a hot
-    resume.
+    (:meth:`Session.detach`: handlers and failure listeners detach;
+    in-flight frames drop) — a re-activated tenant starts a fresh session
+    and must re-join its relationships, which is the paper's late-joiner
+    path, not a hot resume.
     """
 
     def __init__(
@@ -132,7 +80,7 @@ class SessionHost:
         self.batching = batching
         self.on_activate = on_activate
         self.session_kwargs = session_kwargs
-        self._active: "OrderedDict[int, _ActiveTenant]" = OrderedDict()
+        self._active: "OrderedDict[int, Session]" = OrderedDict()
         #: Lifetime tallies (monotonic; survive eviction).
         self.activations = 0
         self.evictions = 0
@@ -155,25 +103,20 @@ class SessionHost:
         Touching a tenant marks it most-recently-used for the
         ``max_active`` LRU bound.
         """
-        active = self._active.get(tenant_id)
-        if active is not None:
+        session = self._active.get(tenant_id)
+        if session is not None:
             self._active.move_to_end(tenant_id)
-            return active.session
-        if tenant_id <= 0:
-            raise ReproError(
-                f"tenant id must be a positive integer, got {tenant_id} "
-                "(0 is the reserved unscoped namespace)"
-            )
-        facade = TenantTransport(self.transport, tenant_id)
+            return session
         session = Session(
-            transport=facade,
+            transport=self.transport,
+            tenant=tenant_id,
             batching=self.batching,
             roster=self.roster,
             **self.session_kwargs,
         )
         for site_id in self.local_sites:
             session.add_site(f"t{tenant_id}s{site_id}", site_id=site_id)
-        self._active[tenant_id] = _ActiveTenant(session, facade)
+        self._active[tenant_id] = session
         self.activations += 1
         if self.on_activate is not None:
             self.on_activate(tenant_id, session)
@@ -192,10 +135,10 @@ class SessionHost:
         (and counts) any frames still in flight to the evicted tenant;
         other tenants are unaffected.
         """
-        active = self._active.pop(tenant_id, None)
-        if active is None:
+        session = self._active.pop(tenant_id, None)
+        if session is None:
             return False
-        active.facade.detach()
+        session.detach()
         self.evictions += 1
         return True
 
@@ -241,8 +184,8 @@ class SessionHost:
         since every tenant session shares the same transport.
         """
         totals: Dict[str, int] = {}
-        for active in self._active.values():
-            for site in active.session.sites:
+        for session in self._active.values():
+            for site in session.sites:
                 for key, value in site.counters().items():
                     totals[key] = totals.get(key, 0) + value
         transport_metrics = getattr(self.transport, "metrics", None)
@@ -255,7 +198,7 @@ class SessionHost:
         """Per-site registry dumps in (tenant, site) order, then transport."""
         snaps: List[Dict[str, Any]] = []
         for tenant_id in sorted(self._active):
-            for site in self._active[tenant_id].session.sites:
+            for site in self._active[tenant_id].sites:
                 snap = site.metrics.snapshot()
                 snap["tenant"] = tenant_id
                 snaps.append(snap)

@@ -1,77 +1,75 @@
 """The abstract transport interface used by DECAF site runtimes.
 
-Two layers of addressing live here:
-
-* The classic flat namespace — every site is one integer, one Session per
-  process.  All pre-tenant code keeps working unchanged through it.
-* Tenant-scoped addressing for multi-tenant hosting (:mod:`repro.host`):
-  a *(tenant, site)* pair names one replica of one collaboration set.
-  The default implementation packs the pair into the flat namespace
-  (``tenant * TENANT_STRIDE + site``), which makes every existing
-  transport multi-tenant-capable without changes; transports with a real
-  wire format (TCP) override the ``*_scoped`` hooks to carry the tenant
-  id in the frame header instead (wire v3, docs/WIRE.md).
-
-:class:`TenantTransport` is the bridge between the layers: a facade that
-looks like an ordinary single-collaboration :class:`Transport` to a
-``Session``/``SiteRuntime`` while routing everything through the scoped
-hooks of a shared inner transport.
+A site is addressed by a *(tenant, site)* pair: the tenant names one
+collaboration set (:mod:`repro.host` multiplexes many over one transport)
+and the site is a tenant-local index.  Tenant 0 is an ordinary tenant —
+the one a plain :class:`~repro.core.session.Session` uses by default.
+Every routing method takes the tenant explicitly; delivery handlers and
+failure listeners see tenant-local site ids only.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Set
-
-from repro.errors import TransportError
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 DeliveryHandler = Callable[[int, Any], None]
 FailureHandler = Callable[[int], None]
 
-#: Width of one tenant's site-id range in the packed flat namespace.
-#: ``pack_site(0, s) == s``, so tenant 0 is the classic unscoped namespace
-#: and every pre-tenant site id is a valid tenant-0 address.
-TENANT_STRIDE = 1 << 20
 
+class FailureListeners:
+    """Failure listeners keyed by tenant, shared by the concrete transports.
 
-def pack_site(tenant: int, site: int) -> int:
-    """Flatten a *(tenant, site)* pair into the packed site namespace."""
-    if tenant == 0:
-        return site
-    if tenant < 0:
-        raise TransportError(f"tenant id must be non-negative, got {tenant}")
-    if not 0 <= site < TENANT_STRIDE:
-        raise TransportError(
-            f"tenant-scoped site id must be in [0, {TENANT_STRIDE}), got {site}"
-        )
-    return tenant * TENANT_STRIDE + site
+    A tenant's entry goes away with its last listener, so evicting a
+    tenant leaves nothing behind and failure fan-out only visits tenants
+    that are listening.
+    """
 
+    __slots__ = ("_by_tenant",)
 
-def unpack_site(packed: int) -> tuple:
-    """Split a packed site id back into its *(tenant, site)* pair."""
-    if packed < TENANT_STRIDE:
-        return (0, packed)
-    return divmod(packed, TENANT_STRIDE)
+    def __init__(self) -> None:
+        self._by_tenant: Dict[int, List[FailureHandler]] = {}
+
+    def add(self, tenant: int, handler: FailureHandler) -> None:
+        self._by_tenant.setdefault(tenant, []).append(handler)
+
+    def remove(self, tenant: int, handler: FailureHandler) -> None:
+        listeners = self._by_tenant.get(tenant)
+        if listeners is None or handler not in listeners:
+            return
+        listeners.remove(handler)
+        if not listeners:
+            del self._by_tenant[tenant]
+
+    def notify(self, tenant: int, site: int) -> None:
+        """Tell ``tenant``'s listeners that its ``site`` failed."""
+        for handler in list(self._by_tenant.get(tenant, ())):
+            handler(site)
+
+    def __iter__(self) -> Iterator[int]:
+        """The listening tenants, in ascending order."""
+        return iter(sorted(self._by_tenant))
 
 
 class Transport(ABC):
-    """Delivers opaque payloads between numbered sites.
+    """Delivers opaque payloads between ``(tenant, site)`` addresses.
 
     Implementations must deliver each payload exactly once to the
-    registered handler of the destination site (unless the destination has
-    failed), and should preserve FIFO order per ordered site pair.  The
-    DECAF protocol tolerates cross-pair reordering (stragglers) but site
-    runtimes assume per-pair FIFO, matching the TCP channels of the
-    original Java prototype.
+    registered handler of the destination (unless it has failed), and
+    should preserve FIFO order per ordered site pair.  The DECAF protocol
+    tolerates cross-pair reordering (stragglers) but site runtimes assume
+    per-pair FIFO, matching the TCP channels of the original Java
+    prototype.  Traffic never crosses tenants: ``src`` and ``dst`` of a
+    send are sites of the same tenant.
     """
 
     @abstractmethod
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        """Attach the delivery handler for ``site``."""
+    def register(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
+        """Attach the delivery handler for ``site`` of ``tenant``."""
 
     @abstractmethod
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        """Queue ``payload`` for delivery from ``src`` to ``dst``."""
+    def send(self, tenant: int, src: int, dst: int, payload: Any) -> None:
+        """Queue ``payload`` for delivery from ``src`` to ``dst`` within ``tenant``."""
 
     @abstractmethod
     def now(self) -> float:
@@ -116,8 +114,8 @@ class Transport(ABC):
 
     # -- membership ------------------------------------------------------
 
-    def unregister(self, site: int) -> None:
-        """Detach ``site``'s delivery handler; in-flight messages to it drop.
+    def unregister(self, tenant: int, site: int) -> None:
+        """Detach the handler of ``site`` of ``tenant``; in-flight messages to it drop.
 
         Best-effort by default (transports without eviction support keep
         the handler).  Concrete transports override this so tenant
@@ -125,27 +123,20 @@ class Transport(ABC):
         routing state.
         """
 
-    def is_failed(self, site: int) -> bool:
-        """Whether ``site`` has been reported failed; default transport never fails."""
+    def is_failed(self, tenant: int, site: int) -> bool:
+        """Whether ``site`` of ``tenant`` has been reported failed; default never fails."""
         return False
 
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        """Subscribe to fail-stop notifications; default transport never fails."""
+    def add_failure_listener(self, tenant: int, handler: FailureHandler) -> None:
+        """Subscribe to fail-stop notices for ``tenant``'s sites only.
 
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        """Unsubscribe a failure listener; default transport has none."""
-
-    def broadcast(self, src: int, dsts: List[int], payload: Any) -> None:
-        """Send ``payload`` to each live destination independently.
-
-        Destinations already reported failed are skipped: fail-stop sites
-        never receive another message, so sending would at best be dropped
-        by the fabric and at worst resurrect a dead queue.
+        The handler receives tenant-local site ids; notices for other
+        tenants never reach it (cross-tenant failure isolation).  The
+        default transport never fails.
         """
-        for dst in dsts:
-            if self.is_failed(dst):
-                continue
-            self.send(src, dst, payload)
+
+    def remove_failure_listener(self, tenant: int, handler: FailureHandler) -> None:
+        """Unsubscribe a failure listener of ``tenant``; default transport has none."""
 
     def defer(
         self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
@@ -160,176 +151,3 @@ class Transport(ABC):
         never recurse on the current call stack.
         """
         action()
-
-    # -- tenant-scoped addressing ----------------------------------------
-    #
-    # Defaults pack (tenant, site) into the flat namespace, so any
-    # transport that implements the flat interface is multi-tenant-capable
-    # for free.  Transports with a wire format override these to put the
-    # tenant id in the frame header instead (TcpTransport).
-
-    def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
-        """Attach the delivery handler for site ``site`` of ``tenant``.
-
-        The handler sees *tenant-local* source ids: for packed transports
-        the wrapper unpacks the flat source id before dispatch.
-        """
-        if tenant == 0:
-            self.register(site, handler)
-            return
-        base = tenant * TENANT_STRIDE
-
-        def unpacking(src: int, payload: Any) -> None:
-            handler(src - base, payload)
-
-        self.register(pack_site(tenant, site), unpacking)
-
-    def unregister_scoped(self, tenant: int, site: int) -> None:
-        """Detach the handler for site ``site`` of ``tenant``."""
-        self.unregister(pack_site(tenant, site))
-
-    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
-        """Queue ``payload`` from ``src`` to ``dst`` within ``tenant``."""
-        self.send(pack_site(tenant, src), pack_site(tenant, dst), payload)
-
-    def is_failed_scoped(self, tenant: int, site: int) -> bool:
-        """Whether site ``site`` of ``tenant`` has been reported failed."""
-        return self.is_failed(pack_site(tenant, site))
-
-    def add_failure_listener_scoped(
-        self, tenant: int, handler: FailureHandler
-    ) -> FailureHandler:
-        """Subscribe to fail-stop notices for ``tenant``'s sites only.
-
-        The handler receives tenant-local site ids; notices for other
-        tenants never reach it (cross-tenant failure isolation).  Returns
-        the listener actually registered on the flat transport so callers
-        can later pass it to :meth:`remove_failure_listener`.
-        """
-        if tenant == 0:
-            self.add_failure_listener(handler)
-            return handler
-        lo = tenant * TENANT_STRIDE
-        hi = lo + TENANT_STRIDE
-
-        def scoped(packed: int) -> None:
-            if lo <= packed < hi:
-                handler(packed - lo)
-
-        self.add_failure_listener(scoped)
-        return scoped
-
-
-class TenantTransport(Transport):
-    """One tenant's view of a shared multi-tenant transport.
-
-    Presents the classic single-collaboration :class:`Transport` interface
-    — so :class:`~repro.core.session.Session` and
-    :class:`~repro.core.site.SiteRuntime` run on it completely unchanged —
-    while routing every operation through the tenant-scoped hooks of the
-    shared ``inner`` transport.  This is the seam that breaks the old
-    one-session-per-process assumption: a :class:`repro.host.SessionHost`
-    hands each tenant Session its own facade over one shared transport
-    (shared sockets, shared event loop, shared metrics registry).
-    """
-
-    def __init__(self, inner: Transport, tenant: int) -> None:
-        if tenant <= 0:
-            raise TransportError(
-                f"tenant id must be a positive integer, got {tenant} "
-                "(0 is the reserved unscoped namespace)"
-            )
-        self.inner = inner
-        self.tenant = tenant
-        self._registered: Set[int] = set()
-        self._listeners: List[FailureHandler] = []
-
-    # -- routing ---------------------------------------------------------
-
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        self.inner.register_scoped(self.tenant, site, handler)
-        self._registered.add(site)
-
-    def unregister(self, site: int) -> None:
-        self.inner.unregister_scoped(self.tenant, site)
-        self._registered.discard(site)
-
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        self.inner.send_scoped(self.tenant, src, dst, payload)
-
-    # -- time / draining -------------------------------------------------
-
-    def now(self) -> float:
-        return self.inner.now()
-
-    def pending(self) -> int:
-        # Shared fabric: pending counts traffic of *all* tenants.  That is
-        # the conservative direction for settle()-style loops.
-        return self.inner.pending()
-
-    def quiesce(self, max_events: Optional[int] = None) -> int:
-        return self.inner.quiesce(max_events)
-
-    async def aquiesce(self, *args: Any, **kwargs: Any) -> int:
-        fn = getattr(self.inner, "aquiesce", None)
-        if fn is None:
-            raise TransportError("inner transport has no async quiesce")
-        return await fn(*args, **kwargs)
-
-    def defer(
-        self, action: Callable[[], None], delay_ms: float = 0.0, site: Optional[int] = None
-    ) -> None:
-        packed = None if site is None else pack_site(self.tenant, site)
-        self.inner.defer(action, delay_ms, site=packed)
-
-    # -- failure plane ---------------------------------------------------
-
-    def is_failed(self, site: int) -> bool:
-        return self.inner.is_failed_scoped(self.tenant, site)
-
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        self._listeners.append(self.inner.add_failure_listener_scoped(self.tenant, handler))
-
-    def fail_site(self, site: int, **kwargs: Any) -> None:
-        """Inject a fail-stop for one of this tenant's sites (tests)."""
-        fail = getattr(self.inner, "fail_site", None)
-        if fail is None:
-            raise TransportError("inner transport does not support fail_site")
-        fail(pack_site(self.tenant, site), **kwargs)
-
-    # -- capabilities / shared services ----------------------------------
-
-    def scheduler(self):
-        return self.inner.scheduler()
-
-    def network(self):
-        return self.inner.network()
-
-    @property
-    def bus(self):
-        """The shared host-wide event bus (one EventBus across tenants)."""
-        return getattr(self.inner, "bus", None)
-
-    @property
-    def metrics(self):
-        """The shared transport-level (site −1) metrics registry, if any."""
-        return getattr(self.inner, "metrics", None)
-
-    # -- lifecycle -------------------------------------------------------
-
-    def detach(self) -> None:
-        """Tear down every registration this facade made (tenant eviction).
-
-        After detach, frames still in flight to this tenant are dropped by
-        the inner transport (counted, not raised) and failure notices no
-        longer reach the evicted session.
-        """
-        for site in sorted(self._registered):
-            self.inner.unregister_scoped(self.tenant, site)
-        self._registered.clear()
-        for listener in self._listeners:
-            self.inner.remove_failure_listener(listener)
-        self._listeners.clear()
-
-    def __repr__(self) -> str:
-        return f"TenantTransport(tenant={self.tenant}, inner={self.inner!r})"

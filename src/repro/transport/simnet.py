@@ -4,25 +4,35 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import TransportError
 from repro.sim.network import Network
-from repro.transport.base import DeliveryHandler, FailureHandler, Transport
+from repro.transport.base import DeliveryHandler, FailureHandler, FailureListeners, Transport
+
+#: Width of one tenant's block of simulated node ids.  Node ids are this
+#: adapter's private business: tenant 0's sites keep their plain site ids,
+#: so fault injection on the network (``network.fail_site(1)``, partitions,
+#: latency models) addresses tenant-0 sites directly.
+_TENANT_BLOCK = 1 << 20
+
+
+def _node(tenant: int, site: int) -> int:
+    return tenant * _TENANT_BLOCK + site
 
 
 class SimTransport(Transport):
     """Routes site messages over a discrete-event simulated network.
 
-    This is the transport used by all benchmarks: latency, jitter, and
-    failures are controlled by the wrapped network, and time is the
-    scheduler's simulated clock.
-
-    Multi-tenant hosting works through the packed-namespace defaults of
-    :class:`~repro.transport.base.Transport`: a ``(tenant, site)`` pair
-    becomes one flat simulated site, so fault injection, partitions, and
-    exhaustive exploration all apply per tenant without special cases.
+    This is the transport used by all simulated benchmarks: latency,
+    jitter, and failures are controlled by the wrapped network, and time is
+    the scheduler's simulated clock.  Each ``(tenant, site)`` is one
+    simulated node, so fault injection, partitions, and exhaustive
+    exploration apply per tenant without special cases.
     """
 
     def __init__(self, network: Network) -> None:
         self._network = network
+        self._listeners = FailureListeners()
+        network.add_failure_listener(self._on_node_failed)
 
     # -- capability protocol ---------------------------------------------
 
@@ -39,20 +49,34 @@ class SimTransport(Transport):
         """The network's protocol event bus (shared by session and sites)."""
         return self._network.bus
 
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        self._network.register(site, handler)
+    def register(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
+        if not 0 <= site < _TENANT_BLOCK:
+            raise TransportError(f"site id must be in [0, {_TENANT_BLOCK}), got {site}")
+        deliver = handler
+        if tenant:
+            # The network reports node ids; the handler wants tenant-local ones.
+            base = _node(tenant, 0)
 
-    def unregister(self, site: int) -> None:
-        self._network.unregister(site)
+            def deliver(src: int, payload: Any) -> None:
+                handler(src - base, payload)
 
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        self._network.add_failure_listener(handler)
+        self._network.register(_node(tenant, site), deliver)
 
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        self._network.remove_failure_listener(handler)
+    def unregister(self, tenant: int, site: int) -> None:
+        self._network.unregister(_node(tenant, site))
 
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        self._network.send(src, dst, payload)
+    def add_failure_listener(self, tenant: int, handler: FailureHandler) -> None:
+        self._listeners.add(tenant, handler)
+
+    def remove_failure_listener(self, tenant: int, handler: FailureHandler) -> None:
+        self._listeners.remove(tenant, handler)
+
+    def _on_node_failed(self, node: int) -> None:
+        tenant, site = divmod(node, _TENANT_BLOCK)
+        self._listeners.notify(tenant, site)
+
+    def send(self, tenant: int, src: int, dst: int, payload: Any) -> None:
+        self._network.send(_node(tenant, src), _node(tenant, dst), payload)
 
     def now(self) -> float:
         return self._network.scheduler.now
@@ -81,22 +105,9 @@ class SimTransport(Transport):
             return
         self._network.scheduler.call_later(delay_ms, action, label="deferred")
 
-    # -- fault-injection passthroughs (used by the conformance explorer) --
+    def fail_site(self, tenant: int, site: int, notify_after_ms: float = 0.0) -> None:
+        """Crash a site fail-stop; its tenant's listeners hear after ``notify_after_ms``."""
+        self._network.fail_site(_node(tenant, site), notify_after_ms)
 
-    def fail_site(self, site: int, notify_after_ms: float = 0.0) -> None:
-        self._network.fail_site(site, notify_after_ms)
-
-    def is_failed(self, site: int) -> bool:
-        return self._network.is_failed(site)
-
-    def inject_drop(self, dst: int, count: int = 1, src=None):
-        return self._network.inject_drop(dst, count=count, src=src)
-
-    def partition(self, group_a, group_b) -> None:
-        self._network.partition(group_a, group_b)
-
-    def heal_partition(self) -> None:
-        self._network.heal_partition()
-
-    def set_link_latency(self, src: int, dst: int, model) -> None:
-        self._network.set_link_latency(src, dst, model)
+    def is_failed(self, tenant: int, site: int) -> bool:
+        return self._network.is_failed(_node(tenant, site))

@@ -27,9 +27,11 @@ Topology and guarantees:
   bytes, never as live objects, so this transport only carries what the
   wire format can express.
 
-Synchronous :meth:`quiesce` raises — use ``await aquiesce()``; like the
-in-process :class:`~repro.transport.asyncio_transport.AsyncioTransport`,
-this transport lives on an event loop.
+Every site is addressed by a ``(tenant, site)`` pair and routed through
+a :class:`Placement`; without one, each tenant's site *i* lives at
+``site_addrs[i]`` (the symmetric :class:`~repro.host.SessionHost`
+topology).  Synchronous :meth:`quiesce` raises — this transport lives on
+an event loop, so use ``await aquiesce()``.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ from repro.obs.sample import TraceSampler
 from repro.transport.base import (
     DeliveryHandler,
     FailureHandler,
+    FailureListeners,
     Transport,
-    pack_site,
-    unpack_site,
 )
 from repro.wire.codec import (
     FRAME_HEADER_BYTES,
@@ -63,8 +64,7 @@ from repro.wire.codec import (
 #: A TCP endpoint: (host, port).
 Addr = Tuple[str, int]
 
-#: A routing key: (tenant, site).  Tenant 0 is the classic unscoped
-#: namespace used by single-collaboration processes.
+#: A routing key: (tenant, site).
 SiteKey = Tuple[int, int]
 
 #: Bucket bounds (wall-clock ms) for transport latency histograms: dial
@@ -107,6 +107,42 @@ def maybe_install_uvloop() -> bool:
         return False
     asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
     return True
+
+
+class Placement:
+    """Maps ``(tenant, site)`` routing keys to process addresses.
+
+    The common SessionHost topology is *symmetric*: every tenant's site
+    ``i`` lives in the same process as every other tenant's site ``i``,
+    described once by ``site_addrs`` (site index → address).  Individual
+    tenants can deviate via ``per_tenant`` overrides — e.g. a migrated
+    collaboration whose replicas moved to other processes.  Tenant 0 is
+    no exception: its overrides apply like any other tenant's.
+    """
+
+    def __init__(
+        self,
+        site_addrs: Dict[int, Addr],
+        per_tenant: Optional[Dict[int, Dict[int, Addr]]] = None,
+    ) -> None:
+        self.site_addrs = dict(site_addrs)
+        self.per_tenant: Dict[int, Dict[int, Addr]] = {
+            t: dict(m) for t, m in (per_tenant or {}).items()
+        }
+
+    def addr_of(self, tenant: int, site: int) -> Optional[Addr]:
+        """The endpoint hosting ``site`` of ``tenant`` (None if unknown)."""
+        override = self.per_tenant.get(tenant)
+        if override is not None and site in override:
+            return override[site]
+        return self.site_addrs.get(site)
+
+    def sites_at(self, tenant: int, addr: Addr) -> List[int]:
+        """Every site of ``tenant`` placed at ``addr`` (failure fan-out)."""
+        override = self.per_tenant.get(tenant, {})
+        sites = {s for s, a in self.site_addrs.items() if a == addr and s not in override}
+        sites.update(s for s, a in override.items() if a == addr)
+        return sorted(sites)
 
 
 class _PeerLink:
@@ -154,18 +190,16 @@ class TcpTransport(Transport):
         fail_after_ms: float = 10_000.0,
         coalesce_max_bytes: int = 64 * 1024,
         sampler: Optional[TraceSampler] = None,
-        placement: Optional[Any] = None,
+        placement: Optional[Placement] = None,
     ) -> None:
         self.site_addrs = dict(site_addrs)
         self.local_sites: Set[int] = set(local_sites)
         for site in self.local_sites:
             if site not in self.site_addrs:
                 raise TransportError(f"local site {site} has no address")
-        #: Optional tenant placement (duck-typed; see repro.host.Placement):
-        #: ``addr_of(tenant, site)`` and ``sites_at(tenant, addr)``.  When
-        #: absent, every tenant's site *i* is co-located with tenant-0 site
-        #: *i* — the symmetric SessionHost topology.
-        self.placement = placement
+        #: Where every (tenant, site) lives; the default is symmetric: each
+        #: tenant's site *i* is at ``site_addrs[i]``.
+        self.placement = placement if placement is not None else Placement(self.site_addrs)
         #: Addresses this process listens on (loopback short-circuit).
         self._local_addrs: Set[Addr] = {self.site_addrs[s] for s in self.local_sites}
         self.reconnect_base_ms = reconnect_base_ms
@@ -175,11 +209,9 @@ class TcpTransport(Transport):
         #: queued frames until the buffered write would exceed this.
         self.coalesce_max_bytes = coalesce_max_bytes
         self._handlers: Dict[SiteKey, DeliveryHandler] = {}
-        self._failure_handlers: List[FailureHandler] = []
-        #: Per-tenant failure listeners (tenant id > 0 → handlers that see
-        #: tenant-local site ids).  Cross-tenant isolation: a notice for
-        #: tenant A's site never reaches tenant B's listeners.
-        self._scoped_failure_handlers: Dict[int, List[FailureHandler]] = {}
+        #: Cross-tenant isolation: a notice for tenant A's site never
+        #: reaches tenant B's listeners.
+        self._listeners = FailureListeners()
         self._failed: Set[SiteKey] = set()
         self._failed_addrs: Set[Addr] = set()
         self._links: Dict[Addr, _PeerLink] = {}
@@ -212,10 +244,14 @@ class TcpTransport(Transport):
         self.flight = None
         #: The site this process reports transport-level events under (the
         #: lowest local site id): per-process program order in a merged
-        #: cross-process timeline must never interleave two processes.
+        #: cross-process timeline must never interleave two processes.  It
+        #: is also the ``origin`` of every trace header this process
+        #: writes: distinct processes host distinct site indices, so it
+        #: names the process whatever tenant-local site is sending.
         self._obs_site = min(self.local_sites)
-        #: Per-process sequence for traced sends; with the origin site it
-        #: forms the cross-process ``msg_id`` (``TraceContext.msg_id``).
+        #: Per-process sequence for traced sends; with the origin it forms
+        #: the cross-process ``msg_id`` (``TraceContext.msg_id``), unique
+        #: across every tenant this process hosts.
         self._msg_seq = 0
         #: Optional head-based trace sampler (repro.obs.sample).  None
         #: keeps the pre-sampling behavior: every traced frame is
@@ -253,88 +289,32 @@ class TcpTransport(Transport):
     # Transport interface
     # ------------------------------------------------------------------
 
-    def register(self, site: int, handler: DeliveryHandler) -> None:
-        if site not in self.local_sites:
+    def register(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
+        if self.placement.addr_of(tenant, site) not in self._local_addrs:
             raise TransportError(
-                f"site {site} is not local to this process (local: {sorted(self.local_sites)})"
+                f"site {site} of tenant {tenant} is not local to this process "
+                f"(local addresses: {sorted(self._local_addrs)})"
             )
-        self._handlers[(0, site)] = handler
-
-    def register_scoped(self, tenant: int, site: int, handler: DeliveryHandler) -> None:
-        if tenant == 0:
-            self.register(site, handler)
-            return
-        addr = self._addr_for(tenant, site)
-        if addr not in self._local_addrs:
-            raise TransportError(
-                f"site {site} of tenant {tenant} is not local to this process"
-            )
-        # Frames carry tenant-local src ids, so the handler needs no
-        # unpacking wrapper (unlike the packed-namespace default).
         self._handlers[(tenant, site)] = handler
 
-    def unregister(self, site: int) -> None:
-        self._handlers.pop((0, site), None)
-
-    def unregister_scoped(self, tenant: int, site: int) -> None:
+    def unregister(self, tenant: int, site: int) -> None:
         self._handlers.pop((tenant, site), None)
 
-    def add_failure_listener(self, handler: FailureHandler) -> None:
-        self._failure_handlers.append(handler)
+    def add_failure_listener(self, tenant: int, handler: FailureHandler) -> None:
+        self._listeners.add(tenant, handler)
 
-    def add_failure_listener_scoped(
-        self, tenant: int, handler: FailureHandler
-    ) -> FailureHandler:
-        if tenant == 0:
-            self._failure_handlers.append(handler)
-        else:
-            self._scoped_failure_handlers.setdefault(tenant, []).append(handler)
-        return handler
-
-    def remove_failure_listener(self, handler: FailureHandler) -> None:
-        try:
-            self._failure_handlers.remove(handler)
-            return
-        except ValueError:
-            pass
-        for listeners in self._scoped_failure_handlers.values():
-            try:
-                listeners.remove(handler)
-                return
-            except ValueError:
-                continue
+    def remove_failure_listener(self, tenant: int, handler: FailureHandler) -> None:
+        self._listeners.remove(tenant, handler)
 
     def now(self) -> float:
         return self.clock.now_ms()
 
-    def is_failed(self, site: int) -> bool:
-        return self.is_failed_scoped(0, site)
-
-    def is_failed_scoped(self, tenant: int, site: int) -> bool:
+    def is_failed(self, tenant: int, site: int) -> bool:
         if (tenant, site) in self._failed:
             return True
         if not self._failed_addrs:
             return False
-        return self._addr_for(tenant, site) in self._failed_addrs
-
-    def _addr_for(self, tenant: int, site: int) -> Optional[Addr]:
-        """Resolve a (tenant, site) routing key to its TCP endpoint.
-
-        Tenant-scoped keys consult the placement first; without one (or
-        when it abstains) each tenant's site *i* shares tenant-0 site
-        *i*'s process — the symmetric SessionHost layout.
-        """
-        if tenant != 0 and self.placement is not None:
-            addr = self.placement.addr_of(tenant, site)
-            if addr is not None:
-                return addr
-        return self.site_addrs.get(site)
-
-    def _sites_at(self, tenant: int, addr: Addr) -> List[int]:
-        """Every site of ``tenant`` placed at ``addr`` (failure fan-out)."""
-        if tenant != 0 and self.placement is not None:
-            return sorted(self.placement.sites_at(tenant, addr))
-        return sorted(s for s, a in self.site_addrs.items() if a == addr)
+        return self.placement.addr_of(tenant, site) in self._failed_addrs
 
     def _peer_label(self, addr: Addr) -> Any:
         """Human-facing identity of a peer address for events and gauges.
@@ -348,14 +328,17 @@ class TcpTransport(Transport):
             return sites[0]
         return f"{addr[0]}:{addr[1]}"
 
-    def _trace_for(self, src: int, dst: int, payload: Any) -> Optional[TraceContext]:
+    def _trace_for(
+        self, tenant: int, src: int, dst: int, payload: Any
+    ) -> Optional[TraceContext]:
         """Build the frame trace header and emit ``message_sent``.
 
         Only called when the bus is active: untraced processes write
-        byte-identical v1 frames and pay nothing.
+        frames without a trace header and pay nothing.
         """
         self._msg_seq += 1
         seq = self._msg_seq
+        origin = self._obs_site
         txn_vt = getattr(payload, "txn_vt", None)
         # __dict__ construction skips the frozen-dataclass setattr walk;
         # this header is built per frame on the send hot path.  The trace
@@ -365,7 +348,7 @@ class TcpTransport(Transport):
         trace_id = f"{txn_vt.counter}@{txn_vt.site}" if txn_vt is not None else ""
         trace = object.__new__(TraceContext)
         fields = trace.__dict__
-        fields["origin"] = src
+        fields["origin"] = origin
         fields["trace_id"] = trace_id
         fields["parent_span"] = seq
         sampler = self.sampler
@@ -383,9 +366,10 @@ class TcpTransport(Transport):
                     self.clock.now_ms(),
                     txn_vt,
                     {
+                        "tenant": tenant,
                         "dst": dst,
                         "msg_type": type(payload).__name__,
-                        "msg_id": f"{src}:{seq}",
+                        "msg_id": f"{origin}:{seq}",
                         "sampled": False,
                     },
                 )
@@ -401,17 +385,15 @@ class TcpTransport(Transport):
             self.clock.now_ms(),
             txn_vt,
             {
+                "tenant": tenant,
                 "dst": dst,
                 "msg_type": type(payload).__name__,
-                "msg_id": f"{src}:{seq}",
+                "msg_id": f"{origin}:{seq}",
             },
         )
         return trace
 
-    def send(self, src: int, dst: int, payload: Any) -> None:
-        self.send_scoped(0, src, dst, payload)
-
-    def send_scoped(self, tenant: int, src: int, dst: int, payload: Any) -> None:
+    def send(self, tenant: int, src: int, dst: int, payload: Any) -> None:
         if (
             self._stopped
             or self._closing
@@ -419,29 +401,19 @@ class TcpTransport(Transport):
             or (tenant, dst) in self._failed
         ):
             return
-        addr = self._addr_for(tenant, dst)
+        addr = self.placement.addr_of(tenant, dst)
         if addr is None:
-            raise TransportError(f"destination site {dst} has no address")
+            raise TransportError(f"destination site {dst} of tenant {tenant} has no address")
         if addr in self._failed_addrs:
             return
-        if self.bus.active:
-            # Events and trace ids use packed site ids so a merged timeline
-            # never conflates two tenants' site 0 (tenant 0 is unchanged).
-            trace = self._trace_for(
-                pack_site(tenant, src), pack_site(tenant, dst), payload
-            )
-        else:
-            trace = None
-        if (tenant == 0 and dst in self.local_sites) or (
-            tenant != 0 and addr in self._local_addrs
-        ):
-            # Local loopback still crosses the codec so every payload is
-            # provably wire-expressible regardless of site placement.
-            frame = encode_frame(src, dst, payload, trace, tenant=tenant)
+        trace = self._trace_for(tenant, src, dst, payload) if self.bus.active else None
+        # Local loopback still crosses the codec so every payload is
+        # provably wire-expressible regardless of site placement.
+        frame = encode_frame(src, dst, payload, trace, tenant)
+        if addr in self._local_addrs:
             self._local_pending += 1
             self._require_loop().call_soon(self._deliver_local, frame)
             return
-        frame = encode_frame(src, dst, payload, trace, tenant=tenant)
         link = self._links.get(addr)
         if link is None:
             link = _PeerLink(self._peer_label(addr))
@@ -564,15 +536,9 @@ class TcpTransport(Transport):
                 link.writer = None
         self._links.clear()
 
-    def fail_site(self, site: int) -> None:
-        """Administratively declare ``site`` failed (tests / orchestration).
-
-        Accepts either a classic flat site id or a packed ``(tenant,
-        site)`` id (as produced by :func:`repro.transport.base.pack_site`,
-        the form :class:`~repro.transport.base.TenantTransport` sends).
-        """
-        tenant, local = unpack_site(site)
-        self._fail_pair(tenant, local)
+    def fail_site(self, tenant: int, site: int) -> None:
+        """Administratively declare ``site`` of ``tenant`` failed (tests / orchestration)."""
+        self._fail_pair(tenant, site)
 
     # ------------------------------------------------------------------
     # Inbound path
@@ -636,10 +602,11 @@ class TcpTransport(Transport):
             # merged timeline (repro.obs.merge) reconstructs.
             self.bus.emit_event(
                 "message_delivered",
-                pack_site(tenant, dst),
+                dst,
                 self.clock.now_ms(),
                 getattr(payload, "txn_vt", None),
                 {
+                    "tenant": tenant,
                     "src": src,
                     "msg_type": type(payload).__name__,
                     # inline trace.msg_id: no property hop on the hot path
@@ -786,9 +753,9 @@ class TcpTransport(Transport):
         """Declare every site placed at ``addr`` failed (fail-stop detection).
 
         The whole process behind the address is gone, so the notice fans
-        out per tenant: tenant-0 listeners get the classic flat site ids;
-        each tenant with scoped listeners gets its own local site ids and
-        nothing else.
+        out per listening tenant: each gets its own local site ids and
+        nothing else.  Sends to any tenant's site at ``addr`` stop either
+        way (:meth:`is_failed` consults the failed addresses).
         """
         if addr in self._failed_addrs:
             return
@@ -799,12 +766,8 @@ class TcpTransport(Transport):
             link.frames.clear()
             link.wakeup.set()  # let the sender loop observe the failure and exit
             self._close_writer(link)
-        for site in self._sites_at(0, addr):
-            self._fail_pair(0, site)
-        for tenant in sorted(self._scoped_failure_handlers):
-            if tenant == 0:
-                continue
-            for site in self._sites_at(tenant, addr):
+        for tenant in self._listeners:
+            for site in self.placement.sites_at(tenant, addr):
                 self._fail_pair(tenant, site)
 
     def _fail_pair(self, tenant: int, site: int) -> None:
@@ -814,7 +777,7 @@ class TcpTransport(Transport):
             return
         self._failed.add(key)
         self.metrics.inc("transport.peers_failed")
-        addr = self._addr_for(tenant, site)
+        addr = self.placement.addr_of(tenant, site)
         link = self._links.get(addr) if addr is not None else None
         if link is not None and not link.dead and link.frames:
             # Drop only this destination's queued frames; the shared link
@@ -825,17 +788,11 @@ class TcpTransport(Transport):
                 link.frames.clear()
                 link.frames.extend(kept)
             link.wakeup.set()
-        if tenant == 0:
-            for handler in list(self._failure_handlers):
-                handler(site)
-        else:
-            for handler in list(self._scoped_failure_handlers.get(tenant, ())):
-                handler(site)
+        self._listeners.notify(tenant, site)
         if self.flight is not None:
             # Postmortem: the ring buffer of recent events, dumped the
             # moment fail-stop detection fires (repro.obs.flight).
-            label = site if tenant == 0 else f"{tenant}:{site}"
-            self.flight.dump(f"fail-stop: site {label} declared failed")
+            self.flight.dump(f"fail-stop: site {site} of tenant {tenant} declared failed")
 
     # ------------------------------------------------------------------
 

@@ -78,7 +78,7 @@ class Outbox:
             return
         self.messages_sent += 1
         self.envelopes_sent += 1
-        self.site.transport.send(self.site.site_id, dst, payload)
+        self.site.transport.send(self.site.tenant, self.site.site_id, dst, payload)
 
     # ------------------------------------------------------------------
     # Turn windows
@@ -133,20 +133,21 @@ class Outbox:
             dst, payload = buffered[0]
             self.messages_sent += 1
             self.envelopes_sent += 1
-            site.transport.send(site.site_id, dst, payload)
+            site.transport.send(site.tenant, site.site_id, dst, payload)
             return
         groups: Dict[int, List[Any]] = {}
         setdefault = groups.setdefault
         for dst, payload in buffered:  # first-seen destination order
             setdefault(dst, []).append(payload)
         transport_send = site.transport.send
+        tenant = site.tenant
         site_id = site.site_id
         for dst, msgs in groups.items():
             count = len(msgs)
             self.messages_sent += count
             self.envelopes_sent += 1
             if count == 1:
-                transport_send(site_id, dst, msgs[0])
+                transport_send(tenant, site_id, dst, msgs[0])
                 continue
             self.messages_batched += count
             if site.bus.active:
@@ -157,7 +158,7 @@ class Outbox:
                     dst=dst,
                     count=count,
                 )
-            transport_send(site_id, dst, Envelope(tuple(msgs)))
+            transport_send(tenant, site_id, dst, Envelope(tuple(msgs)))
 
     def __repr__(self) -> str:
         return (

@@ -1,94 +1,23 @@
-"""Tests for the multi-tenant SessionHost and tenant-scoped transports.
+"""Tests for the multi-tenant SessionHost over (tenant, site) addressing.
 
 Covers the roster/add_site edge cases that only exist under multiplexing:
-duplicate site ids across tenants, eviction while messages are in flight,
-and cross-tenant isolation of failure notifications — plus the
-TenantTransport facade and the wire-level v3 tenant frames.
+duplicate site ids across tenants, eviction while messages are in flight
+(and the routing state it must release), cross-tenant isolation of
+failure notifications, and tenant 0 as an ordinary tenant.
 """
 
 import pytest
 
-from repro import DInt, Placement, Session, SessionHost, TenantTransport
-from repro.errors import ReproError, TransportError
+from repro import DInt, Placement, Session, SessionHost
+from repro.errors import ReproError
 from repro.sim.network import FixedLatency, Network
 from repro.sim.scheduler import Scheduler
-from repro.transport import (
-    TENANT_STRIDE,
-    MemoryTransport,
-    SimTransport,
-    TcpTransport,
-    pack_site,
-    unpack_site,
-)
+from repro.transport import MemoryTransport, SimTransport, TcpTransport
 
 
 def sim_transport(latency_ms: float = 10.0, seed: int = 0) -> SimTransport:
     scheduler = Scheduler()
     return SimTransport(Network(scheduler, latency=FixedLatency(latency_ms), seed=seed))
-
-
-class TestPacking:
-    def test_tenant_zero_is_identity(self):
-        assert pack_site(0, 17) == 17
-        assert unpack_site(17) == (0, 17)
-
-    def test_roundtrip(self):
-        for tenant, site in [(1, 0), (1, 5), (999, TENANT_STRIDE - 1), (12345, 3)]:
-            packed = pack_site(tenant, site)
-            assert unpack_site(packed) == (tenant, site)
-
-    def test_site_out_of_range_rejected(self):
-        with pytest.raises(TransportError):
-            pack_site(1, TENANT_STRIDE)
-        with pytest.raises(TransportError):
-            pack_site(1, -1)
-
-    def test_distinct_tenants_never_collide(self):
-        seen = set()
-        for tenant in range(1, 50):
-            for site in range(4):
-                seen.add(pack_site(tenant, site))
-        assert len(seen) == 49 * 4
-
-
-class TestTenantTransport:
-    def test_rejects_unscoped_tenant(self):
-        with pytest.raises(TransportError, match="reserved"):
-            TenantTransport(MemoryTransport(), 0)
-        with pytest.raises(TransportError, match="positive"):
-            TenantTransport(MemoryTransport(), -3)
-
-    def test_session_runs_unchanged_over_facade(self):
-        inner = MemoryTransport()
-        session = Session(transport=TenantTransport(inner, 4))
-        alice, bob = session.add_sites(2)
-        a, b = session.replicate(DInt, "x", [alice, bob], initial=1)
-        alice.transact(lambda: a.set(41))
-        session.settle()
-        assert b.get() == 41
-
-    def test_capability_protocol_passes_through(self):
-        sim = sim_transport()
-        facade = TenantTransport(sim, 2)
-        assert facade.scheduler() is sim.scheduler()
-        assert facade.network() is sim.network()
-        session = Session(transport=facade)
-        assert session.scheduler is sim.scheduler()
-        mem_session = Session(transport=TenantTransport(MemoryTransport(), 2))
-        assert mem_session.scheduler is None
-        assert mem_session.network is None
-
-    def test_detach_removes_routing_state(self):
-        inner = MemoryTransport()
-        facade = TenantTransport(inner, 3)
-        got = []
-        facade.register(0, lambda src, payload: got.append(payload))
-        facade.send(1, 0, "hello")  # needs src? memory validates dst only
-        inner.drain()
-        assert got == ["hello"]
-        facade.detach()
-        with pytest.raises(TransportError):
-            facade.send(1, 0, "gone")  # destination no longer registered
 
 
 class TestDuplicateSiteIdsAcrossTenants:
@@ -158,6 +87,34 @@ class TestEvictionInFlight:
         assert host.stats()["activations"] == 2
 
 
+def tcp_transport() -> TcpTransport:
+    # Never started: registration and eviction need no sockets.
+    return TcpTransport({0: ("127.0.0.1", 1), 1: ("127.0.0.1", 2)}, local_sites={0})
+
+
+class TestEvictionReleasesRoutingState:
+    @pytest.mark.parametrize("make", [MemoryTransport, tcp_transport], ids=["memory", "tcp"])
+    def test_evicted_tenants_leave_no_handler_or_listener(self, make):
+        transport = make()
+        host = SessionHost(transport, local_sites=(0,), roster=(0, 1))
+        for tid in range(1, 201):
+            host.tenant(tid)
+            assert host.evict(tid)
+        # Every activation registered a handler and a failure listener;
+        # every eviction must take both back, keys included.
+        assert transport._handlers == {}
+        assert list(transport._listeners) == []
+
+    def test_eviction_keeps_other_tenants_listening(self):
+        transport = tcp_transport()
+        host = SessionHost(transport, local_sites=(0,), roster=(0, 1))
+        host.tenant(1)
+        host.tenant(2)
+        host.evict(1)
+        assert list(transport._listeners) == [2]
+        assert set(transport._handlers) == {(2, 0)}
+
+
 class TestCrossTenantFailureIsolation:
     def test_failure_notice_stays_within_its_tenant(self):
         sim = sim_transport()
@@ -165,30 +122,31 @@ class TestCrossTenantFailureIsolation:
         s1 = host.tenant(1)
         s2 = host.tenant(2)
         notices1, notices2 = [], []
-        s1.transport.add_failure_listener(notices1.append)
-        s2.transport.add_failure_listener(notices2.append)
+        sim.add_failure_listener(s1.tenant, notices1.append)
+        sim.add_failure_listener(s2.tenant, notices2.append)
         # Fail tenant 1's site 1 only.
-        s1.transport.fail_site(1)
+        sim.fail_site(1, 1)
         host.settle()
-        assert notices1 == [1]  # tenant-local id, not the packed one
+        assert notices1 == [1]  # tenant-local id
         assert notices2 == []
-        assert s1.transport.is_failed(1)
-        assert not s2.transport.is_failed(1)
+        assert sim.is_failed(1, 1)
+        assert not sim.is_failed(2, 1)
 
     def test_unscoped_failures_do_not_leak_into_tenants(self):
         sim = sim_transport()
-        # An unscoped (tenant-0) session and a hosted tenant share the fabric.
+        # A plain (tenant-0) session and a hosted tenant share the fabric.
         flat = Session(transport=sim)
         flat.add_site("flat0", site_id=0)
         flat.add_site("flat1", site_id=1)
         host = SessionHost(sim, local_sites=(0, 1), roster=(0, 1))
         tenant = host.tenant(3)
         notices = []
-        tenant.transport.add_failure_listener(notices.append)
-        sim.fail_site(1)  # flat site 1, not the tenant's site 1
+        sim.add_failure_listener(tenant.tenant, notices.append)
+        sim.network().fail_site(1)  # tenant 0's site 1, not tenant 3's
         host.settle()
         assert notices == []
-        assert not tenant.transport.is_failed(1)
+        assert sim.is_failed(0, 1)
+        assert not sim.is_failed(3, 1)
 
 
 class TestHostObservability:
@@ -209,10 +167,31 @@ class TestHostObservability:
         s1, s2 = host.tenant(1), host.tenant(2)
         assert s1.bus is s2.bus  # one EventBus across tenants
 
-    def test_tenant_zero_rejected(self):
+
+
+class TestTenantZeroIsOrdinary:
+    def test_tenant_zero_activates(self):
+        transport = MemoryTransport()
+        host = SessionHost(transport, local_sites=(0, 1), roster=(0, 1))
+        zero, seven = host.tenant(0), host.tenant(7)
+        assert zero.tenant == 0 and host.is_active(0)
+        a0, b0 = zero.replicate(DInt, "x", zero.sites, initial=1)
+        a7, b7 = seven.replicate(DInt, "x", seven.sites, initial=1)
+        zero.sites[0].transact(lambda: a0.set(10))
+        seven.sites[0].transact(lambda: a7.set(70))
+        host.settle()
+        assert (b0.get(), b7.get()) == (10, 70)
+        assert host.evict(0) and not host.is_active(0)
+
+    def test_negative_tenant_rejected_by_session(self):
+        with pytest.raises(ReproError, match="non-negative"):
+            Session(transport=MemoryTransport(), tenant=-1)
+
+    def test_negative_tenant_rejected_by_host(self):
         host = SessionHost(MemoryTransport(), local_sites=(0,))
-        with pytest.raises(ReproError, match="reserved"):
-            host.tenant(0)
+        with pytest.raises(ReproError, match="non-negative"):
+            host.tenant(-3)
+        assert len(host) == 0
 
 
 class TestSessionTransportCounters:

@@ -3,12 +3,9 @@
 Covers: per-destination envelope coalescing (metrics, FIFO, convergence
 digests identical with and without batching), Envelope accounting in the
 simulated network's stats, the explicit ``session.batched()`` window, the
-``Transport.pending``/``quiesce`` drain contract, broadcast skipping failed
-destinations, and the class-keyed replicate registry with its deprecated
-string aliases.
+``Transport.pending``/``quiesce`` drain contract, and the class-keyed
+replicate registry with its deprecated string aliases.
 """
-
-import asyncio
 
 import pytest
 
@@ -16,9 +13,7 @@ from repro import DInt, DList, Session
 from repro.core.messages import CommitMsg, Envelope
 from repro.core.scalars import DString
 from repro.core.session import register_replicable
-from repro.errors import ReproError, TransportError
-from repro.transport.asyncio_transport import AsyncioTransport
-from repro.transport.base import Transport
+from repro.errors import ReproError
 from repro.transport.memory import MemoryTransport
 from repro.vtime import VirtualTime
 
@@ -113,7 +108,7 @@ class TestOutbox:
         b = session.add_site("b")
         with a.outbox.turn():
             a.send(b.site_id, CommitMsg(VirtualTime(1, 0), 1))
-        src, dst, payload = transport._queue[-1]
+        tenant, src, dst, payload = transport._queue[-1]
         assert not isinstance(payload, Envelope)
         assert a.outbox.envelopes_sent == 1
         assert a.outbox.messages_batched == 0
@@ -127,7 +122,7 @@ class TestOutbox:
         with a.outbox.turn():
             for m in msgs:
                 a.send(b.site_id, m)
-        src, dst, payload = transport._queue[-1]
+        tenant, src, dst, payload = transport._queue[-1]
         assert isinstance(payload, Envelope)
         assert list(payload.messages) == msgs
         assert a.outbox.envelopes_sent == 1
@@ -156,10 +151,10 @@ class TestTransportContract:
     def test_memory_pending_and_quiesce(self):
         transport = MemoryTransport(auto_drain=False)
         inbox = []
-        transport.register(0, lambda src, p: None)
-        transport.register(1, lambda src, p: inbox.append(p))
-        transport.send(0, 1, "x")
-        transport.send(0, 1, "y")
+        transport.register(0, 0, lambda src, p: None)
+        transport.register(0, 1, lambda src, p: inbox.append(p))
+        transport.send(0, 0, 1, "x")
+        transport.send(0, 0, 1, "y")
         assert transport.pending() == 2
         assert transport.quiesce() == 2
         assert transport.pending() == 0
@@ -176,20 +171,6 @@ class TestTransportContract:
         assert delivered > 0
         assert session.transport.pending() == 0
 
-    def test_asyncio_sync_quiesce_raises(self):
-        transport = AsyncioTransport()
-        with pytest.raises(TransportError, match="aquiesce"):
-            transport.quiesce()
-
-    def test_asyncio_pending_counts_queued(self):
-        async def main():
-            transport = AsyncioTransport()
-            transport.register(0, lambda src, p: None)
-            transport.send(1, 0, "x")
-            assert transport.pending() == 1
-
-        asyncio.run(main())
-
     def test_session_settle_uses_transport_quiesce(self):
         class Recording(MemoryTransport):
             def __init__(self):
@@ -205,40 +186,6 @@ class TestTransportContract:
         session.add_site("a")
         session.settle()
         assert transport.quiesce_calls == 1
-
-    def test_broadcast_skips_failed_destinations(self):
-        sent = []
-
-        class Probe(Transport):
-            def register(self, site, handler):
-                pass
-
-            def send(self, src, dst, payload):
-                sent.append(dst)
-
-            def now(self):
-                return 0.0
-
-            def pending(self):
-                return 0
-
-            def quiesce(self, max_events=None):
-                return 0
-
-            def is_failed(self, site):
-                return site == 2
-
-        Probe().broadcast(0, [1, 2, 3], "msg")
-        assert sent == [1, 3]
-
-    def test_memory_broadcast_skips_failed(self):
-        transport = MemoryTransport(auto_drain=False)
-        for site in (0, 1, 2):
-            transport.register(site, lambda src, p: None)
-        transport.fail_site(2)
-        before = transport.messages_sent
-        transport.broadcast(0, [1, 2], "msg")
-        assert transport.messages_sent == before + 1  # only site 1
 
 
 class TestReplicateRegistry:

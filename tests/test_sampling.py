@@ -148,12 +148,12 @@ def run_pair(rate, msgs, record_dropped=False, reply=False):
         a.bus.enable()
         b.bus.enable()
         inbox = []
-        a.register(0, lambda src, p: None)
-        b.register(1, lambda src, p: inbox.append(p))
+        a.register(0, 0, lambda src, p: None)
+        b.register(0, 1, lambda src, p: inbox.append(p))
         await a.start()
         await b.start()
         for m in msgs:
-            a.send(0, 1, m)
+            a.send(0, 0, 1, m)
         await wait_for(lambda: len(inbox) == len(msgs), what="all frames delivered")
         await a.aquiesce(settle_ms=20.0)
         out = {
@@ -261,10 +261,10 @@ class TestTransportSampling:
             a.bus.enable()
             b.bus.enable()
             inbox = []
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await a.start()
             await b.start()
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))
             await wait_for(lambda: inbox, what="delivery")
             assert a.sends_sampled_out == 0
             assert b.deliveries_sampled_out == 0

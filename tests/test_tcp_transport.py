@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.messages import AbortMsg, CommitMsg, Envelope
 from repro.errors import TransportError
-from repro.transport.tcp import TcpTransport
+from repro.transport.tcp import Placement, TcpTransport
 from repro.vtime import VirtualTime
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,13 +47,13 @@ class TestTcpTransport:
             a = TcpTransport(addrs, local_sites={0})
             b = TcpTransport(addrs, local_sites={1})
             inbox = []
-            a.register(0, lambda src, p: None)
-            b.register(1, lambda src, p: inbox.append((src, p)))
+            a.register(0, 0, lambda src, p: None)
+            b.register(0, 1, lambda src, p: inbox.append((src, p)))
             await a.start()
             await b.start()
             msgs = [CommitMsg(VirtualTime(i, 0), i) for i in range(20)]
             for m in msgs:
-                a.send(0, 1, m)
+                a.send(0, 0, 1, m)
             await wait_for(lambda: len(inbox) == len(msgs), what="all frames")
             assert [p for _, p in inbox] == msgs  # per-pair FIFO preserved
             assert all(src == 0 for src, _ in inbox)
@@ -72,13 +72,13 @@ class TestTcpTransport:
             a = TcpTransport(addrs, local_sites={0})
             b = TcpTransport(addrs, local_sites={1})
             inbox = []
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await a.start()
             await b.start()
             env = Envelope(
                 (CommitMsg(VirtualTime(3, 0), 7), AbortMsg(VirtualTime(4, 0), 8, "x"))
             )
-            a.send(0, 1, env)
+            a.send(0, 0, 1, env)
             await wait_for(lambda: inbox, what="envelope")
             assert inbox[0] == env  # decoded copy, field-for-field equal
             assert inbox[0] is not env
@@ -92,10 +92,10 @@ class TestTcpTransport:
             addrs = two_addrs()
             t = TcpTransport(addrs, local_sites={0, 1})
             inbox = []
-            t.register(1, lambda src, p: inbox.append(p))
+            t.register(0, 1, lambda src, p: inbox.append(p))
             await t.start()
             msg = CommitMsg(VirtualTime(5, 0), 9)
-            t.send(0, 1, msg)
+            t.send(0, 0, 1, msg)
             assert t.pending() == 1
             await wait_for(lambda: inbox, what="loopback delivery")
             assert inbox[0] == msg
@@ -111,11 +111,11 @@ class TestTcpTransport:
             inbox = []
             await a.start()
             msg = CommitMsg(VirtualTime(1, 0), 1)
-            a.send(0, 1, msg)  # nobody listening yet; frame stays queued
+            a.send(0, 0, 1, msg)  # nobody listening yet; frame stays queued
             await asyncio.sleep(0.1)
             assert a.pending() == 1
             b = TcpTransport(addrs, local_sites={1})
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await b.start()
             await wait_for(lambda: inbox, what="delivery after reconnect")
             assert inbox == [msg]
@@ -131,14 +131,14 @@ class TestTcpTransport:
                 addrs, local_sites={0}, reconnect_base_ms=5.0, fail_after_ms=150.0
             )
             failed = []
-            a.add_failure_listener(failed.append)
+            a.add_failure_listener(0, failed.append)
             await a.start()
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))  # port never answers
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))  # port never answers
             await wait_for(lambda: failed, what="failure declaration")
             assert failed == [1]
-            assert a.is_failed(1)
+            assert a.is_failed(0, 1)
             assert a.pending() == 0  # queued frames dropped on failure
-            a.send(0, 1, CommitMsg(VirtualTime(2, 0), 2))  # silently dropped
+            a.send(0, 0, 1, CommitMsg(VirtualTime(2, 0), 2))  # silently dropped
             assert a.pending() == 0
             await a.stop()
 
@@ -152,7 +152,7 @@ class TestTcpTransport:
     def test_register_non_local_site_rejected(self):
         transport = TcpTransport(two_addrs(), local_sites={0})
         with pytest.raises(TransportError, match="not local"):
-            transport.register(1, lambda src, p: None)
+            transport.register(0, 1, lambda src, p: None)
 
     def test_local_site_without_address_rejected(self):
         with pytest.raises(TransportError, match="no address"):
@@ -161,7 +161,7 @@ class TestTcpTransport:
     def test_send_before_start_outside_loop_rejected(self):
         transport = TcpTransport(two_addrs(), local_sites={0})
         with pytest.raises(TransportError, match="event loop"):
-            transport.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))
+            transport.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))
 
     def test_stop_flushes_queued_frames(self):
         """stop() must not lose frames that are queued but not yet written.
@@ -177,12 +177,12 @@ class TestTcpTransport:
             a = TcpTransport(addrs, local_sites={0})
             b = TcpTransport(addrs, local_sites={1})
             inbox = []
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await a.start()
             await b.start()
             msgs = [CommitMsg(VirtualTime(i, 0), i) for i in range(200)]
             for m in msgs:
-                a.send(0, 1, m)
+                a.send(0, 0, 1, m)
             await a.stop()  # flush=True by default: must drain first
             assert a.pending() == 0
             await wait_for(lambda: len(inbox) == len(msgs), what="flushed frames")
@@ -197,7 +197,7 @@ class TestTcpTransport:
             a = TcpTransport(addrs, local_sites={0})
             await a.start()
             await a.stop()
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))  # silently dropped
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))  # silently dropped
             assert a.pending() == 0
 
         asyncio.run(main())
@@ -207,7 +207,7 @@ class TestTcpTransport:
             addrs = two_addrs()
             a = TcpTransport(addrs, local_sites={0}, reconnect_base_ms=5.0)
             await a.start()
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))  # nobody listening
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))  # nobody listening
             start = time.monotonic()
             await a.stop(flush_timeout_s=0.5)  # must not hang forever
             assert time.monotonic() - start < 5.0
@@ -220,17 +220,17 @@ class TestTcpTransport:
             a = TcpTransport(addrs, local_sites={0})
             b = TcpTransport(addrs, local_sites={1})
             inbox = []
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await a.start()
             await b.start()
             # Establish the connection first so the burst queues behind a
             # live writer and the sender drains it in batches.
             probe = CommitMsg(VirtualTime(0, 0), 0)
-            a.send(0, 1, probe)
+            a.send(0, 0, 1, probe)
             await wait_for(lambda: inbox, what="connection established")
             msgs = [CommitMsg(VirtualTime(i + 1, 0), i + 1) for i in range(500)]
             for m in msgs:
-                a.send(0, 1, m)
+                a.send(0, 0, 1, m)
             await wait_for(lambda: len(inbox) == len(msgs) + 1, what="burst")
             assert inbox == [probe] + msgs  # FIFO survives batching
             assert a.frames_sent == len(msgs) + 1
@@ -239,6 +239,32 @@ class TestTcpTransport:
             assert a.frames_coalesced > 0
             await a.stop()
             await b.stop()
+
+        asyncio.run(main())
+
+    def test_tenant_zero_follows_its_placement_override(self):
+        async def main():
+            addrs = {site: ("127.0.0.1", free_port()) for site in range(3)}
+            # Site 1 of tenants 0 and 7 moved from addrs[1] (nobody listens
+            # there) to addrs[2]; tenant 0 is no exception.
+            moved = {1: addrs[2]}
+            placement = Placement(addrs, per_tenant={0: moved, 7: moved})
+            x = TcpTransport(addrs, local_sites={0}, placement=placement)
+            z = TcpTransport(addrs, local_sites={2}, placement=placement)
+            inbox = []
+            for tenant in (0, 7):
+                z.register(tenant, 1, lambda src, p, t=tenant: inbox.append((t, src, p)))
+            with pytest.raises(TransportError, match="not local"):
+                z.register(3, 1, lambda src, p: None)  # tenant 3 keeps addrs[1]
+            await x.start()
+            await z.start()
+            msgs = {tenant: CommitMsg(VirtualTime(1, 0), tenant) for tenant in (0, 7)}
+            for tenant, msg in msgs.items():
+                x.send(tenant, 0, 1, msg)
+            await wait_for(lambda: len(inbox) == 2, what="both tenants' frames")
+            assert sorted(inbox, key=lambda e: e[0]) == [(0, 0, msgs[0]), (7, 0, msgs[7])]
+            await x.stop()
+            await z.stop()
 
         asyncio.run(main())
 
@@ -270,7 +296,7 @@ class TestTransportTelemetry:
                 )
 
             # Outage 1: peer not listening yet; several dials must fail.
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))
             await wait_for(
                 lambda: a.metrics.value("transport.dial_failures") >= 3,
                 what="several failed dial attempts",
@@ -278,7 +304,7 @@ class TestTransportTelemetry:
             assert counts() == (1, 0)
 
             b = TcpTransport(addrs, local_sites={1})
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await b.start()
             await wait_for(lambda: len(inbox) == 1, what="delivery after outage 1")
             assert counts() == (1, 1)
@@ -289,13 +315,13 @@ class TestTransportTelemetry:
             # pipe surfaces and the re-dial fails.
             await b.stop()
             for attempt in range(500):
-                a.send(0, 1, CommitMsg(VirtualTime(2 + attempt, 0), 2))
+                a.send(0, 0, 1, CommitMsg(VirtualTime(2 + attempt, 0), 2))
                 if counts()[0] == 2:
                     break
                 await asyncio.sleep(0.01)
             assert counts()[0] == 2
             b2 = TcpTransport(addrs, local_sites={1})
-            b2.register(1, lambda src, p: inbox.append(p))
+            b2.register(0, 1, lambda src, p: inbox.append(p))
             await b2.start()
             await wait_for(lambda: counts()[1] == 2, what="second reconnect")
             assert counts() == (2, 2)
@@ -317,12 +343,12 @@ class TestTransportTelemetry:
             a.bus.enable()
             b.bus.enable()
             inbox = []
-            a.register(0, lambda src, p: None)
-            b.register(1, lambda src, p: inbox.append(p))
+            a.register(0, 0, lambda src, p: None)
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await a.start()
             await b.start()
             for i in range(5):
-                a.send(0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
+                a.send(0, 0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
             await wait_for(lambda: len(inbox) == 5, what="all deliveries")
             sent = a.bus.filter(kind="message_sent")
             delivered = b.bus.filter(kind="message_delivered")
@@ -345,10 +371,10 @@ class TestTransportTelemetry:
             a = TcpTransport(addrs, local_sites={0})
             b = TcpTransport(addrs, local_sites={1})
             inbox = []
-            b.register(1, lambda src, p: inbox.append(p))
+            b.register(0, 1, lambda src, p: inbox.append(p))
             await a.start()
             await b.start()
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))
             await wait_for(lambda: inbox, what="delivery")
             # Functional zero-overhead guard: no emission machinery entered.
             assert a.bus._seq == 0 and b.bus._seq == 0
@@ -368,9 +394,9 @@ class TestTransportTelemetry:
             )
             a.flight = FlightRecorder(str(tmp_path / "flight0.jsonl")).attach(a.bus)
             failed = []
-            a.add_failure_listener(failed.append)
+            a.add_failure_listener(0, failed.append)
             await a.start()
-            a.send(0, 1, CommitMsg(VirtualTime(1, 0), 1))  # port never answers
+            a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))  # port never answers
             await wait_for(lambda: failed, what="fail-stop declaration")
             assert a.flight.dumps == 1
             dump = (tmp_path / "flight0.jsonl").read_text().splitlines()

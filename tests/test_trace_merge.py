@@ -19,7 +19,7 @@ from repro.core.messages import CommitMsg
 from repro.obs import load_timeline, merge_timelines
 from repro.obs.causal import CausalGraph, events_from_timeline
 from repro.obs.events import event_to_dict
-from repro.transport.tcp import TcpTransport
+from repro.transport.tcp import Placement, TcpTransport
 from repro.vtime import VirtualTime
 
 
@@ -287,12 +287,12 @@ class TestRealTransportMerge:
                 if len(seen) >= appends:
                     done.set()
 
-            a.register(0, on_a)
-            b.register(1, lambda src, payload: b.send(1, 0, payload))
+            a.register(0, 0, on_a)
+            b.register(0, 1, lambda src, payload: b.send(0, 1, 0, payload))
             await a.start()
             await b.start()
             for i in range(appends):
-                a.send(0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
+                a.send(0, 0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
             await asyncio.wait_for(done.wait(), timeout=10.0)
             await a.aquiesce()
             await b.aquiesce()
@@ -323,6 +323,78 @@ class TestRealTransportMerge:
         timelines = self.run_traced_pair(appends=3)
         sent = [e for e in timelines[0] if e["kind"] == "message_sent"]
         assert sent and all(e["txn_vt"] for e in sent)
+
+
+class TestTwoTenantMerge:
+    """Two hosts, two tenants, and both hosts sending from tenant-local site 0.
+
+    Tenant 1 keeps the symmetric layout (site 0 on host A); a placement
+    override swaps tenant 2's sites (site 0 on host B).  Each host's
+    ``message_sent`` events then carry the same tenant-local source site,
+    so the merge can only pair every edge if ``msg_id`` names the process.
+    """
+
+    ROUNDS = 6
+
+    def run_hosts(self):
+        addrs = {0: ("127.0.0.1", free_port()), 1: ("127.0.0.1", free_port())}
+        placement = Placement(addrs, per_tenant={2: {0: addrs[1], 1: addrs[0]}})
+
+        async def scenario():
+            a = TcpTransport(addrs, local_sites={0}, placement=placement)
+            b = TcpTransport(addrs, local_sites={1}, placement=placement)
+            for host in (a, b):
+                host.bus.enable()
+            echoes: List[Any] = []
+            # Site 1 of each tenant echoes to site 0; site 0 counts echoes.
+            a.register(1, 0, lambda src, p: echoes.append(p))
+            b.register(1, 1, lambda src, p: b.send(1, 1, 0, p))
+            b.register(2, 0, lambda src, p: echoes.append(p))
+            a.register(2, 1, lambda src, p: a.send(2, 1, 0, p))
+            await a.start()
+            await b.start()
+            for i in range(self.ROUNDS):
+                a.send(1, 0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
+                b.send(2, 0, 1, CommitMsg(VirtualTime(i + 1, 0), i))
+            deadline = asyncio.get_running_loop().time() + 10.0
+            while len(echoes) < 2 * self.ROUNDS:
+                assert asyncio.get_running_loop().time() < deadline, "echoes lost"
+                await asyncio.sleep(0.01)
+            await a.aquiesce(settle_ms=20.0)
+            await b.aquiesce(settle_ms=20.0)
+            timelines = [[event_to_dict(e) for e in host.bus.events] for host in (a, b)]
+            await a.stop()
+            await b.stop()
+            return timelines
+
+        return asyncio.run(scenario())
+
+    def test_every_edge_pairs_without_msg_id_collision(self, tmp_path):
+        from repro.cli import main
+
+        timelines = self.run_hosts()
+        # Events keep tenant-local sites and carry the tenant: both hosts
+        # send from site 0 (host A for tenant 1, host B for tenant 2).
+        senders = [
+            {(e["data"]["tenant"], e["site"]) for e in tl if e["kind"] == "message_sent"}
+            for tl in timelines
+        ]
+        assert senders == [{(1, 0), (2, 1)}, {(2, 0), (1, 1)}]
+        sent_ids = [
+            e["data"]["msg_id"] for tl in timelines for e in tl if e["kind"] == "message_sent"
+        ]
+        assert len(sent_ids) == len(set(sent_ids)) == 4 * self.ROUNDS
+        merged = merge_timelines(timelines)
+        assert merged.pairs == 4 * self.ROUNDS
+        assert merged.unmatched_sends == [] and merged.unmatched_deliveries == []
+        paths = []
+        for proc, timeline in enumerate(timelines):
+            path = tmp_path / f"trace{proc}.jsonl"
+            path.write_text("\n".join(json.dumps(e) for e in timeline) + "\n")
+            paths.append(str(path))
+        out = tmp_path / "merged.jsonl"
+        args = ["trace", "--merge", *paths, "--format", "jsonl", "--out", str(out), "--quiet"]
+        assert main(args) == 0
 
 
 class TestMergeCli:

@@ -45,15 +45,13 @@ from repro.core.repgraph import GraphNode, ReplicationGraph
 from repro.errors import WireError
 from repro.vtime import VT_ZERO, VirtualTime
 from repro.wire import (
-    FRAME_VERSION_TENANT,
+    FRAME_VERSION,
     MESSAGE_TYPES,
     WIRE_STRUCTS,
     WIRE_VERSION,
     TraceContext,
     decode,
     decode_frame,
-    decode_frame_body,
-    decode_frame_parts,
     encode,
     encode_frame,
     register_struct,
@@ -377,140 +375,137 @@ def test_all_structs_are_dataclasses_in_field_order():
 
 def test_frame_roundtrip():
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    frame = encode_frame(3, 7, msg)
+    frame = encode_frame(3, 7, msg, None, 0)
     length = int.from_bytes(frame[:4], "big")
     assert length == len(frame) - 4
-    assert decode_frame_body(frame[4:]) == (3, 7, msg)
+    assert decode_frame(frame[4:]) == (0, 3, 7, msg, None)
 
 
-def test_frame_rejects_non_triple_body():
-    with pytest.raises(WireError, match="triple"):
-        decode_frame_body(encode("just a string"))
+def test_frame_rejects_non_tuple_body():
+    body = bytes([FRAME_VERSION]) + encode("just a string")[1:]
+    with pytest.raises(WireError, match="5-tuple"):
+        decode_frame(body)
 
 
-# Golden frames: the v1 bytes predate trace propagation and must never
-# change (old processes' frames stay decodable); the v2 bytes pin the
-# traced layout (version byte 0x02 + (src, dst, payload, trace) 4-tuple)
-# including the trailing sampled flag (True=0x01 here; the head-dropped
-# variant pins the False byte).
-GOLDEN_FRAME_V1 = "0000000d0107030306030e280b0a020318"
-GOLDEN_FRAME_V2 = "000000180207040306030e280b0a0203183a03060503354031035401"
-GOLDEN_FRAME_V2_DROPPED = (
-    "000000180207040306030e280b0a0203183a03060503354031035402"
+# Golden frames: version byte 0x04 + (tenant, src, dst, payload,
+# trace-or-None) 5-tuple, untraced and traced, including the trailing
+# sampled flag (True=0x01 here; the head-dropped variant pins the False
+# byte).  Every tenant, 0 included, uses this one layout.
+GOLDEN_FRAME = "0000001004070503120306030e280b0a02031800"
+GOLDEN_FRAME_TRACED = (
+    "0000001a04070503120306030e280b0a0203183a03060503354031035401"
+)
+GOLDEN_FRAME_DROPPED = (
+    "0000001a04070503120306030e280b0a0203183a03060503354031035402"
 )
 
+# Bodies in the retired frame layouts, pinned as they were written: v1
+# (src, dst, payload) triple, v2 traced 4-tuple, v3 tenant 5-tuple.
+RETIRED_BODIES = {
+    "v1": "0107030306030e280b0a020318",
+    "v2": "0207040306030e280b0a0203183a03060503354031035401",
+    "v3": "03070503120306030e280b0a02031800",
+}
 
-def test_golden_frame_bytes_both_versions():
+
+def test_golden_frame_bytes():
     msg = CommitMsg(VirtualTime(5, 1), 12)
     trace = TraceContext(3, "5@1", 42)
-    assert encode_frame(3, 7, msg).hex() == GOLDEN_FRAME_V1
-    assert encode_frame(3, 7, msg, trace).hex() == GOLDEN_FRAME_V2
+    assert encode_frame(3, 7, msg, None, 9).hex() == GOLDEN_FRAME
+    assert encode_frame(3, 7, msg, trace, 9).hex() == GOLDEN_FRAME_TRACED
     dropped = TraceContext(3, "5@1", 42, sampled=False)
-    assert encode_frame(3, 7, msg, dropped).hex() == GOLDEN_FRAME_V2_DROPPED
+    assert encode_frame(3, 7, msg, dropped, 9).hex() == GOLDEN_FRAME_DROPPED
 
 
 def test_sampled_out_trace_rides_the_frame():
     # The origin's head-drop decision must survive the wire so every
     # receiving process skips the same trace (repro.obs.sample).
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    frame = bytes.fromhex(GOLDEN_FRAME_V2_DROPPED)
-    _, _, _, trace = decode_frame_parts(frame[4:])
+    frame = bytes.fromhex(GOLDEN_FRAME_DROPPED)
+    trace = decode_frame(frame[4:])[4]
     assert trace == TraceContext(3, "5@1", 42, sampled=False)
     assert trace.sampled is False
 
 
-def test_untraced_frame_is_byte_identical_to_pre_trace_format():
-    # encode_frame without a trace must produce exactly encode((src, dst,
-    # payload)) behind the length prefix — the v1 compatibility contract.
+def test_frame_body_is_the_encoded_5_tuple():
+    # Behind the length prefix: the frame version byte, then exactly what
+    # encode() writes for the routing 5-tuple after its own version byte.
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    frame = encode_frame(3, 7, msg)
-    assert frame[4:] == encode((3, 7, msg))
-
-
-def test_decode_frame_parts_both_versions():
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    trace = TraceContext(3, "5@1", 42)
-    v1 = bytes.fromhex(GOLDEN_FRAME_V1)
-    v2 = bytes.fromhex(GOLDEN_FRAME_V2)
-    assert decode_frame_parts(v1[4:]) == (3, 7, msg, None)
-    assert decode_frame_parts(v2[4:]) == (3, 7, msg, trace)
-    # decode_frame_body drops (but still validates) the trace.
-    assert decode_frame_body(v2[4:]) == (3, 7, msg)
+    frame = encode_frame(3, 7, msg, None, 9)
+    assert frame[4] == FRAME_VERSION
+    assert frame[5:] == encode((9, 3, 7, msg, None))[1:]
 
 
 def test_traced_frame_roundtrip_and_msg_id():
     msg = CommitMsg(VirtualTime(5, 1), 12)
     trace = TraceContext(origin=3, trace_id="5@1", parent_span=42)
-    frame = encode_frame(3, 7, msg, trace)
+    frame = encode_frame(3, 7, msg, trace, 0)
     length = int.from_bytes(frame[:4], "big")
     assert length == len(frame) - 4
-    src, dst, payload, got = decode_frame_parts(frame[4:])
-    assert (src, dst, payload) == (3, 7, msg)
+    tenant, src, dst, payload, got = decode_frame(frame[4:])
+    assert (tenant, src, dst, payload) == (0, 3, 7, msg)
     assert got == trace
     assert got.msg_id == "3:42"
 
 
-def test_traced_frame_rejects_malformed_4_tuple():
-    # A v2 body whose 4th element is not a TraceContext is corruption.
-    body = bytes([2]) + encode((3, 7, CommitMsg(VirtualTime(5, 1), 12), "oops"))[1:]
-    with pytest.raises(WireError, match="TraceContext"):
-        decode_frame_parts(body)
-
-
 def test_traced_frame_rejects_trailing_bytes():
-    v2 = bytes.fromhex(GOLDEN_FRAME_V2)
+    traced = bytes.fromhex(GOLDEN_FRAME_TRACED)
     with pytest.raises(WireError, match="trailing"):
-        decode_frame_parts(v2[4:] + b"\x00")
+        decode_frame(traced[4:] + b"\x00")
 
 
-# Tenant-scoped (v3) frames: version byte 0x03 + (tenant, src, dst,
-# payload, trace-or-None) 5-tuple.  Tenant 0 must keep emitting the
-# v1/v2 bytes unchanged — the SessionHost interop contract.
-
-
-def test_tenant_zero_is_byte_identical_to_v1_and_v2():
+def test_tenant_zero_is_an_ordinary_frame_field():
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    trace = TraceContext(3, "5@1", 42)
-    assert encode_frame(3, 7, msg, tenant=0) == encode_frame(3, 7, msg)
-    assert encode_frame(3, 7, msg, trace, tenant=0) == encode_frame(3, 7, msg, trace)
-    assert encode_frame(3, 7, msg, tenant=0).hex() == GOLDEN_FRAME_V1
+    zero = encode_frame(3, 7, msg, None, 0)
+    nine = encode_frame(3, 7, msg, None, 9)
+    # Same layout and length; only the tenant field differs.
+    assert len(zero) == len(nine)
+    assert zero[:8] == nine[:8] and zero[9:] == nine[9:]
+    assert decode_frame(zero[4:]) == (0, 3, 7, msg, None)
 
 
 def test_tenant_frame_roundtrip_with_and_without_trace():
     msg = CommitMsg(VirtualTime(5, 1), 12)
     trace = TraceContext(3, "5@1", 42)
-    plain = encode_frame(3, 7, msg, tenant=9)
-    assert plain[4] == FRAME_VERSION_TENANT
+    plain = encode_frame(3, 7, msg, None, 9)
+    assert plain[4] == FRAME_VERSION
     assert int.from_bytes(plain[:4], "big") == len(plain) - 4
     assert decode_frame(plain[4:]) == (9, 3, 7, msg, None)
-    traced = encode_frame(3, 7, msg, trace, tenant=9)
+    traced = encode_frame(3, 7, msg, trace, 9)
     assert decode_frame(traced[4:]) == (9, 3, 7, msg, trace)
 
 
-def test_decode_frame_accepts_all_versions():
-    msg = CommitMsg(VirtualTime(5, 1), 12)
-    trace = TraceContext(3, "5@1", 42)
-    v1 = bytes.fromhex(GOLDEN_FRAME_V1)
-    v2 = bytes.fromhex(GOLDEN_FRAME_V2)
-    assert decode_frame(v1[4:]) == (0, 3, 7, msg, None)
-    assert decode_frame(v2[4:]) == (0, 3, 7, msg, trace)
-    # The tenant-blind decoders validate then drop a v3 tenant id.
-    v3 = encode_frame(3, 7, msg, trace, tenant=123)
-    assert decode_frame_parts(v3[4:]) == (3, 7, msg, trace)
-    assert decode_frame_body(v3[4:]) == (3, 7, msg)
+@pytest.mark.parametrize("layout", sorted(RETIRED_BODIES))
+def test_decode_frame_rejects_retired_versions(layout):
+    with pytest.raises(WireError, match="unsupported frame version"):
+        decode_frame(bytes.fromhex(RETIRED_BODIES[layout]))
 
 
-def test_tenant_frame_rejects_reserved_tenant_zero():
-    # Canonical tenant-0 frames are v1/v2; a v3 body claiming tenant 0 is
-    # corruption, not an alternate spelling.
+def test_frame_rejects_negative_tenant():
+    # decode_frame takes outside input: a negative tenant id is corruption.
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    body = bytes([FRAME_VERSION_TENANT]) + encode((0, 3, 7, msg, None))[1:]
-    with pytest.raises(WireError, match="reserved tenant"):
+    body = bytes([FRAME_VERSION]) + encode((-1, 3, 7, msg, None))[1:]
+    with pytest.raises(WireError, match="negative tenant"):
         decode_frame(body)
+
+
+def test_traced_frame_rejects_malformed_4_tuple():
+    # The retired traced layout (src, dst, payload, trace) with a 4th
+    # element that is not a TraceContext is corruption under any version
+    # byte: the old one is unsupported, the current one wants a 5-tuple.
+    msg = CommitMsg(VirtualTime(5, 1), 12)
+    tail = encode((3, 7, msg, "oops"))[1:]
+    with pytest.raises(WireError, match="unsupported frame version"):
+        decode_frame(bytes([2]) + tail)
+    with pytest.raises(WireError, match="5-tuple"):
+        decode_frame(bytes([FRAME_VERSION]) + tail)
+    trace = TraceContext(3, "5@1", 42)
+    body = bytes([FRAME_VERSION]) + encode((9, 3, 7, msg, trace))[1:]
+    assert decode_frame(body) == (9, 3, 7, msg, trace)
 
 
 def test_tenant_frame_rejects_malformed_5_tuple():
     msg = CommitMsg(VirtualTime(5, 1), 12)
-    body = bytes([FRAME_VERSION_TENANT]) + encode((9, 3, 7, msg, "oops"))[1:]
-    with pytest.raises(WireError, match="5-tuple"):
-        decode_frame(body)
+    for bad in ((9, 3, 7, msg, "oops"), (9, 3, 7, msg), (3, 7, msg)):
+        body = bytes([FRAME_VERSION]) + encode(bad)[1:]
+        with pytest.raises(WireError, match="5-tuple"):
+            decode_frame(body)

@@ -5,7 +5,9 @@ raises :class:`WireError` — never IndexError, struct.error, UnicodeError,
 RecursionError, or a hang.  The compiled unpackers take many speculative
 fast paths (fused tag reads, span memos, inline varints), so these
 properties hammer them with arbitrary bytes, mutated valid frames, and
-truncations of valid frames.
+truncations of valid frames — through both :func:`decode` and the frame
+decoder :func:`decode_frame`, which must also reject bodies written in the
+retired frame layouts.
 """
 
 import pytest
@@ -15,16 +17,34 @@ from hypothesis import strategies as st
 from repro.core.messages import OpPayload, TxnPropagateMsg, WriteOp
 from repro.errors import WireError
 from repro.vtime import VirtualTime
-from repro.wire import decode, decode_frame_body, encode
-from repro.wire.codec import WIRE_VERSION
+from repro.wire import TraceContext, decode, decode_frame, encode, encode_frame
+from repro.wire.codec import FRAME_VERSION, WIRE_VERSION
 
 
 def _decode_or_wire_error(data):
-    """decode() may succeed or raise WireError; anything else is a bug."""
-    try:
-        decode(data)
-    except WireError:
-        pass
+    """Each decoder may succeed or raise WireError; anything else is a bug."""
+    for decoder in (decode, decode_frame):
+        try:
+            decoder(data)
+        except WireError:
+            pass
+
+
+def _retired_frame_bodies():
+    """Frame bodies in the retired v1/v2/v3 layouts (routing tuple after
+    version bytes 1, 2 and 3), as processes of earlier releases wrote them."""
+    msg = TxnPropagateMsg(
+        txn_vt=VirtualTime(3, 0), origin=0, writes=(), read_checks=(), clock=3
+    )
+    trace = TraceContext(0, "3@0", 1)
+    return [
+        encode((0, 1, msg)),
+        bytes([2]) + encode((0, 1, msg, trace))[1:],
+        bytes([3]) + encode((4, 0, 1, msg, None))[1:],
+    ]
+
+
+RETIRED_FRAME_BODIES = _retired_frame_bodies()
 
 
 def _sample_frames():
@@ -40,12 +60,14 @@ def _sample_frames():
     msg = TxnPropagateMsg(
         txn_vt=VirtualTime(41, 2), origin=2, writes=writes, read_checks=(), clock=57
     )
+    trace = TraceContext(1, "41@2", 7)
     return [
         encode(msg),
-        encode((0, 1, msg)),
         encode({"k": (VirtualTime(1, 0), b"\x00\xff")}),
         encode([None, True, -(2**40), 2.5, frozenset({1, 2})]),
-    ]
+        encode_frame(0, 1, msg, None, 5)[4:],
+        encode_frame(0, 1, msg, trace, 0)[4:],
+    ] + RETIRED_FRAME_BODIES
 
 
 SAMPLE_FRAMES = _sample_frames()
@@ -86,8 +108,9 @@ def test_truncated_valid_frames_never_escape_wire_error(frame, data):
 @settings(max_examples=100)
 @given(st.sampled_from(SAMPLE_FRAMES), st.binary(min_size=1, max_size=8))
 def test_trailing_garbage_raises_wire_error(frame, suffix):
-    with pytest.raises(WireError):
-        decode(frame + suffix)
+    for decoder in (decode, decode_frame):
+        with pytest.raises(WireError):
+            decoder(frame + suffix)
 
 
 @settings(max_examples=200)
@@ -112,11 +135,16 @@ def test_memoryview_input_behaves_like_bytes(data):
 
 @settings(max_examples=200)
 @given(st.binary(max_size=128))
+@example(RETIRED_FRAME_BODIES[0])
+@example(RETIRED_FRAME_BODIES[1])
+@example(RETIRED_FRAME_BODIES[2])
 def test_frame_body_decoder_never_escapes_wire_error(body):
     try:
-        decode_frame_body(body)
+        decode_frame(body)
     except WireError:
-        pass
+        return
+    # Only a body in the current layout may decode at all.
+    assert body[0] == FRAME_VERSION
 
 
 def test_deep_nesting_does_not_blow_the_stack():
