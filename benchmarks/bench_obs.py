@@ -27,11 +27,13 @@ disabled delta (and the per-event marginal cost) so the perf trajectory
 tracks instrumentation cost from day one.
 
 The offline causal-analysis engine (``repro.obs.causal``) and the
-streaming health detectors (``repro.obs.health``) are timed over the
-recorded timeline as a fourth, ungated series — they run after the fact
-on exported data, so their cost is an analyst-side budget, not protocol
-overhead.  The per-event figures land in the trajectory so a
-super-linear regression in the DAG builder shows up as a slope change.
+streaming health detectors (``repro.obs.health``) are timed over
+recorded timelines of two lengths (:data:`ANALYSIS_LENGTHS`) as a fourth,
+ungated series — they run after the fact on exported data, so their cost
+is an analyst-side budget, not protocol overhead.  Linear analysis costs
+the same per event at both lengths; ``analyze_growth`` (long/short
+µs-per-event ratio) lands in the trajectory so a super-linear regression
+shows up as a ratio well above 1.
 
 Usage::
 
@@ -64,6 +66,9 @@ DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_obs.json")
 
 FULL = {"transactions": 600, "repeats": 9}
 QUICK = {"transactions": 300, "repeats": 7}
+
+#: Timeline lengths, in transactions, the offline analysis is timed at.
+ANALYSIS_LENGTHS = (250, 1000)
 
 
 def bench_commit_throughput(transactions: int, observe: bool) -> Dict[str, Any]:
@@ -98,27 +103,17 @@ def bench_commit_throughput(transactions: int, observe: bool) -> Dict[str, Any]:
     }
 
 
-def bench_analysis_cost(transactions: int, repeats: int) -> Dict[str, Any]:
-    """Offline analysis cost over one recorded timeline (ungated).
+def bench_analysis_cost(repeats: int) -> Dict[str, Any]:
+    """Offline analysis cost over recorded timelines (ungated).
 
-    Records a timeline once, then times ``analyze_events`` (full causal
-    DAG + critical paths + guess graph) and ``run_health`` (streaming
-    detector replay) over it, best-of ``repeats``.
+    For each of :data:`ANALYSIS_LENGTHS`, records a timeline once, then
+    times ``analyze_events`` (full causal DAG + critical paths + guess
+    graph) and ``run_health`` (streaming detector replay) over it,
+    best-of ``repeats``.
     """
     from repro.obs import analyze_events, run_health
 
-    session = Session.simulated(latency_ms=20.0)
-    session.observe()
-    sites = session.add_sites(3)
-    objs = session.replicate(DInt, "counter", sites, initial=0)
-    session.settle()
-    for i in range(transactions):
-        out = sites[0].transact(lambda i=i: objs[0].set(i + 1))
-        session.settle()
-        assert out.committed
-    events = list(session.bus.events)
-
-    def best_of(fn) -> float:
+    def best_of(fn, events) -> float:
         gc.collect()
         gc.disable()
         try:
@@ -131,16 +126,31 @@ def bench_analysis_cost(transactions: int, repeats: int) -> Dict[str, Any]:
             gc.enable()
         return min(times)
 
-    analyze_s = best_of(analyze_events)
-    health_s = best_of(run_health)
-    n = len(events)
-    return {
-        "events": n,
-        "analyze_best_s": round(analyze_s, 6),
-        "analyze_us_per_event": round(analyze_s / n * 1e6, 3),
-        "health_best_s": round(health_s, 6),
-        "health_us_per_event": round(health_s / n * 1e6, 3),
-    }
+    result: Dict[str, Any] = {}
+    for transactions in ANALYSIS_LENGTHS:
+        session = Session.simulated(latency_ms=20.0)
+        session.observe()
+        sites = session.add_sites(3)
+        objs = session.replicate(DInt, "counter", sites, initial=0)
+        session.settle()
+        for i in range(transactions):
+            out = sites[0].transact(lambda i=i: objs[0].set(i + 1))
+            session.settle()
+            assert out.committed
+        events = list(session.bus.events)
+        analyze_s = best_of(analyze_events, events)
+        health_s = best_of(run_health, events)
+        n = len(events)
+        result[str(transactions)] = {
+            "events": n,
+            "analyze_best_s": round(analyze_s, 6),
+            "analyze_us_per_event": round(analyze_s / n * 1e6, 3),
+            "health_best_s": round(health_s, 6),
+            "health_us_per_event": round(health_s / n * 1e6, 3),
+        }
+    short, long = (result[str(t)]["analyze_us_per_event"] for t in ANALYSIS_LENGTHS)
+    result["analyze_growth"] = round(long / short, 3)
+    return result
 
 
 def bench_traced_sockets(quick: bool) -> Dict[str, Any]:
@@ -232,8 +242,10 @@ def bench_traced_sockets(quick: bool) -> Dict[str, Any]:
             "p50_s": p50,
             "events": len(a.bus.events) + len(b.bus.events),
             "emit_calls": a.bus._seq + b.bus._seq,
-            "sends_sampled_out": a.sends_sampled_out + b.sends_sampled_out,
-            "deliveries_sampled_out": a.deliveries_sampled_out + b.deliveries_sampled_out,
+            "sends_sampled_out": a.metrics.value("transport.sends_sampled_out")
+            + b.metrics.value("transport.sends_sampled_out"),
+            "deliveries_sampled_out": a.metrics.value("transport.deliveries_sampled_out")
+            + b.metrics.value("transport.deliveries_sampled_out"),
         }
         await a.stop()
         await b.stop()
@@ -498,7 +510,7 @@ def run(quick: bool = False, repeats: int = 0, sockets: bool = True) -> Dict[str
         "transactions": transactions,
         "repeats": repeats,
         "modes": summary,
-        "analysis": bench_analysis_cost(transactions, min(repeats, 3)),
+        "analysis": bench_analysis_cost(min(repeats, 3)),
         "overhead": {
             "disabled_vs_baseline_pct": round((best_ratio - 1.0) * 100, 2),
             "baseline_noise_pct": round(spread_pct, 2),
@@ -654,11 +666,15 @@ def main(argv=None) -> int:
         f"   recording cost: {overhead['recording_us_per_event']} us/event"
     )
     analysis = results["analysis"]
-    print(
-        f"analysis over {analysis['events']} events: "
-        f"causal {analysis['analyze_us_per_event']} us/event"
-        f"   health {analysis['health_us_per_event']} us/event"
-    )
+    for transactions in ANALYSIS_LENGTHS:
+        row = analysis[str(transactions)]
+        print(
+            f"analysis over {transactions} txns ({row['events']} events): "
+            f"causal {row['analyze_us_per_event']} us/event"
+            f"   health {row['health_us_per_event']} us/event"
+        )
+    print(f"analysis growth ({ANALYSIS_LENGTHS[-1]} vs {ANALYSIS_LENGTHS[0]} txns): "
+          f"{analysis['analyze_growth']}x per event")
     sketch = results["sketch"]
     print(
         f"sketch: worst rel err {sketch['worst_rel_err']:.4f} "

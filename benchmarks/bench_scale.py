@@ -320,10 +320,12 @@ async def run(config: dict, mode: str) -> dict:
         "phases": phases,
         "scaling": scaling,
         "transport": {
-            "frames_sent": transport_a.frames_sent + transport_b.frames_sent,
-            "frames_received": transport_a.frames_received + transport_b.frames_received,
-            "writes": transport_a.writes + transport_b.writes,
-            "frames_coalesced": transport_a.frames_coalesced + transport_b.frames_coalesced,
+            **{
+                name: sum(
+                    t.metrics.value(f"transport.{name}") for t in (transport_a, transport_b)
+                )
+                for name in ("frames_sent", "frames_received", "writes", "frames_coalesced")
+            },
             "peer_links": {
                 "host_a": len(getattr(transport_a, "_links", {})),
                 "host_b": len(getattr(transport_b, "_links", {})),

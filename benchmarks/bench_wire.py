@@ -221,7 +221,8 @@ def bench_sockets(quick: bool, prom_out: str = "") -> Dict[str, Any]:
         # One-way burst: the sender task drains the queue in coalesced
         # batches, so writes << frames when the pipeline is doing its job.
         echo[0] = False
-        writes0, coalesced0 = a.writes, a.frames_coalesced
+        writes0 = a.metrics.value("transport.writes")
+        coalesced0 = a.metrics.value("transport.frames_coalesced")
         start = time.perf_counter()
         for i in range(burst_frames):
             a.send(0, 0, 1, CommitMsg(VirtualTime(i, 1), i))
@@ -234,8 +235,8 @@ def bench_sockets(quick: bool, prom_out: str = "") -> Dict[str, Any]:
         burst = {
             "frames": burst_frames,
             "frames_per_sec": round(burst_frames / burst_s, 1),
-            "writes": a.writes - writes0,
-            "frames_coalesced": a.frames_coalesced - coalesced0,
+            "writes": a.metrics.value("transport.writes") - writes0,
+            "frames_coalesced": a.metrics.value("transport.frames_coalesced") - coalesced0,
         }
         # The transport registry is process-wide (site=-1); tag each with
         # its local site so the two transports' series stay distinct when

@@ -189,10 +189,13 @@ async def child_main(
             "messages_sent": site.outbox.messages_sent,
             "envelopes_sent": site.outbox.envelopes_sent,
             "messages_batched": site.outbox.messages_batched,
-            "frames_sent": transport.frames_sent,
-            "frames_received": transport.frames_received,
-            "sends_sampled_out": transport.sends_sampled_out,
-            "deliveries_sampled_out": transport.deliveries_sampled_out,
+            **{
+                name: transport.metrics.value(f"transport.{name}")
+                for name in (
+                    "frames_sent", "frames_received",
+                    "sends_sampled_out", "deliveries_sampled_out",
+                )
+            },
         },
     }
     (workdir / f"digest{site_id}.json").write_text(json.dumps(out, sort_keys=True))

@@ -69,7 +69,7 @@ from repro.obs.metrics import (
     counter_property,
     summary_dict,
 )
-from repro.obs.spans import TxnSpan, build_spans, span_summary
+from repro.obs.spans import LifecycleTracker, TxnSpan, build_spans, span_summary
 
 __all__ = [
     "EVENT_KINDS",
@@ -105,6 +105,7 @@ __all__ = [
     "LATENCY_BUCKETS_MS",
     "COUNT_BUCKETS",
     "SUMMARY_QUANTILES",
+    "LifecycleTracker",
     "TxnSpan",
     "build_spans",
     "span_summary",

@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import ProtocolEvent
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.spans import MAX_LIVE_TXNS, LifecycleTracker
 
 __all__ = [
     "AGG_FORMAT",
@@ -243,6 +244,17 @@ def merge_agg_snapshots(*snapshots: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+#: Lifecycle events TenantTelemetry reads; its tracker sees nothing else.
+_TELEMETRY_KINDS = frozenset(
+    {"txn_submitted", "guess_made", "op_applied", "committed", "aborted", "view_notified"}
+)
+
+
+def _object_tenant(event: ProtocolEvent) -> Optional[str]:
+    obj = event.data.get("obj")
+    return None if obj is None else f"obj:{obj}"
+
+
 class TenantTelemetry:
     """Event-bus subscriber deriving per-tenant protocol metrics.
 
@@ -250,8 +262,9 @@ class TenantTelemetry:
     its lifecycle mentions (``obj`` in ``guess_made`` / ``op_applied``
     data — the collaboration set it writes), falling back to
     ``site:<origin>`` for transactions whose recorded events never name
-    an object.  The mapping is bounded (``max_txns`` live transactions)
-    and evicted FIFO, deterministic under replay.
+    an object.  The label lives on the transaction's lifecycle record
+    (:class:`~repro.obs.spans.TxnSpan`); the tracker keeps ``max_txns``
+    records and evicts the oldest first, deterministic under replay.
 
     Derived per-tenant series (all in the transaction origin's window):
 
@@ -266,70 +279,40 @@ class TenantTelemetry:
         self,
         agg: Optional[TelemetryAggregator] = None,
         tenant_of: Optional[Callable[[ProtocolEvent], Optional[str]]] = None,
-        max_txns: int = 4096,
+        max_txns: int = MAX_LIVE_TXNS,
     ) -> None:
         self.agg = agg if agg is not None else TelemetryAggregator()
-        self._tenant_of = tenant_of
-        self._max_txns = max_txns
-        # txn key -> (tenant or None, submitted_ms or None, committed_ms or None)
-        self._txns: "OrderedDict[Any, List[Any]]" = OrderedDict()
-
-    def _entry(self, key: Any) -> List[Any]:
-        entry = self._txns.get(key)
-        if entry is None:
-            entry = self._txns[key] = [None, None, None]
-            while len(self._txns) > self._max_txns:
-                self._txns.popitem(last=False)
-        return entry
-
-    def _tenant(self, entry: List[Any], event: ProtocolEvent) -> str:
-        if entry[0] is not None:
-            return entry[0]
-        origin = event.txn_vt.site if event.txn_vt is not None else event.site
-        return f"site:{origin}"
+        self._tenant_of = tenant_of if tenant_of is not None else _object_tenant
+        self.lifecycle = LifecycleTracker(max_txns)
 
     def __call__(self, event: ProtocolEvent) -> None:
         self.observe(event)
 
     def observe(self, event: ProtocolEvent) -> None:
-        if event.txn_vt is None:
+        vt = event.txn_vt
+        if vt is None or event.kind not in _TELEMETRY_KINDS:
             return
+        span = self.lifecycle.observe(event)
+        if span is None:
+            return
+        if span.tenant is None:
+            span.tenant = self._tenant_of(event)
+        tenant = span.tenant if span.tenant is not None else f"site:{vt.site}"
         kind = event.kind
-        if kind not in (
-            "txn_submitted", "guess_made", "op_applied", "committed",
-            "aborted", "view_notified",
-        ):
-            return
-        key = event.txn_vt.key
-        if self._tenant_of is not None:
-            entry = self._entry(key)
-            if entry[0] is None:
-                entry[0] = self._tenant_of(event)
-        else:
-            entry = self._entry(key)
-            if entry[0] is None:
-                obj = event.data.get("obj")
-                if obj is not None:
-                    entry[0] = f"obj:{obj}"
-        if kind == "txn_submitted":
-            if event.site == event.txn_vt.site and entry[1] is None:
-                entry[1] = event.time_ms
-        elif kind == "committed":
-            if event.site == event.txn_vt.site and entry[2] is None:
-                entry[2] = event.time_ms
-                tenant = self._tenant(entry, event)
+        if kind == "committed":
+            if span.origin_commit is event:
                 self.agg.inc(tenant, "commits", event.time_ms)
-                if entry[1] is not None:
+                if span.submitted is not None:
                     self.agg.observe(
                         tenant, "commit_latency_ms", event.time_ms,
-                        event.time_ms - entry[1],
+                        event.time_ms - span.submitted.time_ms,
                     )
         elif kind == "aborted":
-            if event.site == event.txn_vt.site:
-                self.agg.inc(self._tenant(entry, event), "aborts", event.time_ms)
+            if event.site == vt.site:
+                self.agg.inc(tenant, "aborts", event.time_ms)
         elif kind == "view_notified":
-            if event.data.get("mode") == "pessimistic" and entry[2] is not None:
+            if event.data.get("mode") == "pessimistic" and span.origin_commit is not None:
                 self.agg.observe(
-                    self._tenant(entry, event), "notify_lag_ms", event.time_ms,
-                    event.time_ms - entry[2],
+                    tenant, "notify_lag_ms", event.time_ms,
+                    event.time_ms - span.origin_commit.time_ms,
                 )

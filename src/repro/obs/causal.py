@@ -8,7 +8,9 @@ artifacts):
   program order plus message send→deliver edges (paired by the network's
   ``msg_id``).  Reachability over this graph *is* Lamport happens-before
   for the recorded run, which lets tests validate a causal chain
-  edge-by-edge against the actual message timeline.
+  edge-by-edge against the actual message timeline.  The pass that
+  builds the DAG also builds every transaction's lifecycle record
+  (:class:`~repro.obs.spans.TxnSpan`), which the abort chains read.
 * :func:`commit_critical_paths` — **critical-path attribution**: each
   committed transaction's end-to-end latency decomposed into
   ``submit_fanout`` (local execution + local primary checks), ``transit``
@@ -28,7 +30,9 @@ artifacts):
 
 Everything is deterministic: inputs are seq-ordered event streams, all
 iteration orders are explicit, and every serialization sorts its keys, so
-a given seed produces byte-identical reports.
+a given seed produces byte-identical reports.  Every analysis reads the
+per-transaction lifecycle records instead of re-scanning the timeline, so
+its cost grows linearly with the trace.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import ProtocolEvent, event_to_dict
-from repro.obs.spans import TxnSpan, build_spans
+from repro.obs.spans import LifecycleTracker, TxnSpan, build_spans
 from repro.vtime import VirtualTime
 
 #: Critical-path segment names, in causal order.  Ties in the dominant-hop
@@ -137,14 +141,17 @@ class CausalGraph:
     scheduler order, ``seq`` is a topological order of the DAG — every
     edge goes from a smaller to a larger seq — which both bounds the
     reachability search and guarantees acyclicity by construction.
+    ``lifecycle`` holds each transaction's lifecycle record, built in the
+    same pass.
     """
 
     def __init__(self, events: Sequence[ProtocolEvent]) -> None:
         self.events: List[ProtocolEvent] = sorted(events, key=lambda e: e.seq)
         self.by_seq: Dict[int, ProtocolEvent] = {e.seq: e for e in self.events}
         self.edges: List[HBEdge] = []
-        self._succ: Dict[int, List[int]] = {}
-        self._pred: Dict[int, List[int]] = {}
+        #: Outgoing edges per source seq (the same HBEdge objects).
+        self._succ: Dict[int, List[HBEdge]] = {}
+        self.lifecycle = LifecycleTracker()
         self._build()
 
     # -- construction ----------------------------------------------------
@@ -152,9 +159,15 @@ class CausalGraph:
     def _add_edge(self, src: int, dst: int, kind: str, label: str = "") -> None:
         if src == dst:
             return
-        self.edges.append(HBEdge(src=src, dst=dst, kind=kind, label=label))
-        self._succ.setdefault(src, []).append(dst)
-        self._pred.setdefault(dst, []).append(src)
+        edge = HBEdge(src=src, dst=dst, kind=kind, label=label)
+        self.edges.append(edge)
+        succ = self._succ.setdefault(src, [])
+        if succ and succ[-1].dst == dst:
+            # A message delivered as the sender's next same-site event
+            # parallels that program edge; the message edge names the hop.
+            succ.insert(len(succ) - 1, edge)
+        else:
+            succ.append(edge)
 
     def _build(self) -> None:
         last_at_site: Dict[int, int] = {}
@@ -162,7 +175,9 @@ class CausalGraph:
         # real transports "origin:seq" — str() unifies live and merged
         # timelines without caring which plane produced them.
         sends_by_msg_id: Dict[str, int] = {}
+        observe = self.lifecycle.observe
         for event in self.events:
+            observe(event)
             prev = last_at_site.get(event.site)
             if prev is not None:
                 self._add_edge(prev, event.seq, "program")
@@ -184,12 +199,6 @@ class CausalGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def successors(self, seq: int) -> List[int]:
-        return list(self._succ.get(seq, ()))
-
-    def predecessors(self, seq: int) -> List[int]:
-        return list(self._pred.get(seq, ()))
-
     def happens_before(self, a_seq: int, b_seq: int) -> bool:
         """True iff event ``a`` causally precedes event ``b`` in this run."""
         if a_seq == b_seq:
@@ -200,7 +209,8 @@ class CausalGraph:
         seen = {a_seq}
         while frontier:
             node = frontier.pop()
-            for succ in self._succ.get(node, ()):
+            for edge in self._succ.get(node, ()):
+                succ = edge.dst
                 if succ == b_seq:
                     return True
                 if succ < b_seq and succ not in seen:
@@ -214,67 +224,30 @@ class CausalGraph:
         order, which is seq order of edge creation."""
         if a_seq >= b_seq:
             return None
-        edge_by_pair = {(e.src, e.dst): e for e in self.edges}
-        parents: Dict[int, int] = {}
+        parents: Dict[int, HBEdge] = {}
         frontier = [a_seq]
         seen = {a_seq}
         while frontier:
             next_frontier: List[int] = []
             for node in frontier:
-                for succ in self._succ.get(node, ()):
+                for edge in self._succ.get(node, ()):
+                    succ = edge.dst
                     if succ > b_seq or succ in seen:
                         continue
                     seen.add(succ)
-                    parents[succ] = node
+                    parents[succ] = edge
                     if succ == b_seq:
                         hops: List[HBEdge] = []
                         cur = b_seq
                         while cur != a_seq:
-                            prev = parents[cur]
-                            hops.append(edge_by_pair[(prev, cur)])
-                            cur = prev
+                            hop = parents[cur]
+                            hops.append(hop)
+                            cur = hop.src
                         hops.reverse()
                         return hops
                     next_frontier.append(succ)
             frontier = next_frontier
         return None
-
-    def txn_events(self, vt: VirtualTime) -> List[ProtocolEvent]:
-        """All recorded events of one transaction, in seq order."""
-        return [e for e in self.events if e.txn_vt == vt]
-
-    def txn_chain(self, vt: VirtualTime) -> List[Dict[str, Any]]:
-        """The transaction's lifecycle chain, each hop checked against the
-        DAG.
-
-        ``connected`` reports whether the recorded message timeline
-        contains a happens-before path between consecutive same-VT events,
-        and ``via`` lists the hop's edge kinds.  A False ``connected``
-        marks genuine concurrency — e.g. a local validation racing a
-        remote delivery, or parallel deliveries at two replicas — which is
-        expected for fan-out protocols; use :func:`abort_causal_chain` for
-        the strictly-causal submit → denial → abort story.
-        """
-        chain: List[Dict[str, Any]] = []
-        events = self.txn_events(vt)
-        for prev, cur in zip(events, events[1:]):
-            if prev.site == cur.site:
-                hops: Optional[List[HBEdge]] = [
-                    HBEdge(src=prev.seq, dst=cur.seq, kind="program")
-                ]
-            else:
-                hops = self.path(prev.seq, cur.seq)
-            chain.append(
-                {
-                    "src_seq": prev.seq,
-                    "dst_seq": cur.seq,
-                    "src": f"{prev.kind}@s{prev.site}",
-                    "dst": f"{cur.kind}@s{cur.site}",
-                    "connected": hops is not None,
-                    "via": [h.kind for h in hops] if hops else [],
-                }
-            )
-        return chain
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {"events": len(self.events)}
@@ -319,17 +292,10 @@ def abort_causal_chain(graph: CausalGraph, vt: VirtualTime) -> Dict[str, Any]:
     join/membership denial decided off the validated path) the chain runs
     submit → abort directly.
     """
-    events = graph.txn_events(vt)
-    submit = next((e for e in events if e.kind == "txn_submitted"), None)
-    origin_abort = next(
-        (e for e in events if e.kind == "aborted" and e.site == vt.site), None
-    )
-    denial = next(
-        (e for e in events if e.kind == "validated" and not e.data.get("ok", True)),
-        None,
-    )
-    if submit is None or origin_abort is None:
+    span = graph.lifecycle.get(vt)
+    if span is None or span.submitted is None or span.origin_abort is None:
         return {"connected": False, "via_denial": False, "hops": []}
+    submit, denial, origin_abort = span.submitted, span.denial, span.origin_abort
     hops: List[Dict[str, Any]] = []
     connected = True
     waypoints = [submit]
@@ -380,34 +346,6 @@ class CommitCriticalPath:
         }
 
 
-def _first_remote_validated(
-    events: Sequence[ProtocolEvent], vt: VirtualTime, origin: int
-) -> Optional[ProtocolEvent]:
-    for event in events:
-        if event.kind == "validated" and event.txn_vt == vt and event.site != origin:
-            return event
-    return None
-
-
-def _propagate_delivery_before(
-    events: Sequence[ProtocolEvent], vt: VirtualTime, site: int, before_seq: int
-) -> Optional[ProtocolEvent]:
-    """The latest TxnPropagateMsg delivery at ``site`` preceding the
-    validation — the message whose arrival triggered the primary checks."""
-    best: Optional[ProtocolEvent] = None
-    for event in events:
-        if event.seq >= before_seq:
-            break
-        if (
-            event.kind == "message_delivered"
-            and event.txn_vt == vt
-            and event.site == site
-            and event.data.get("msg_type") == "TxnPropagateMsg"
-        ):
-            best = event
-    return best
-
-
 def commit_critical_paths(
     events: Sequence[ProtocolEvent], spans: Optional[List[TxnSpan]] = None
 ) -> List[CommitCriticalPath]:
@@ -417,21 +355,15 @@ def commit_critical_paths(
     attributed; the result is ordered by VT (total Lamport order), so the
     report is stable regardless of event interleaving.
     """
-    events = normalize_events(events)
     if spans is None:
-        spans = build_spans(events)
+        spans = build_spans(normalize_events(events))
     paths: List[CommitCriticalPath] = []
     for span in spans:
         if span.resolution != "committed" or span.submit_ms is None or span.resolved_ms is None:
             continue
         submit, resolved = span.submit_ms, span.resolved_ms
-        validated = _first_remote_validated(events, span.vt, span.origin)
+        validated, deliver = span.remote_validation
         validator_site = validated.site if validated is not None else -1
-        deliver = (
-            _propagate_delivery_before(events, span.vt, validated.site, validated.seq)
-            if validated is not None
-            else None
-        )
         # Monotone mark chain submit → fanout → deliver → validated →
         # resolved; a missing mark collapses onto its predecessor and every
         # mark is clamped into [predecessor, resolved], so the segment
@@ -625,9 +557,6 @@ class GuessGraph:
                         "attempt": 0,
                     }
 
-    def out_edges(self, vt: Any) -> List[GuessEdge]:
-        return list(self._out.get(_against_token(vt), ()))
-
     def dependency_chain(self, vt: Any) -> List[GuessEdge]:
         """The transitive guess dependencies of ``vt``, breadth-first.
 
@@ -704,10 +633,14 @@ class GuessGraph:
 def build_guess_graph(
     events: Sequence[ProtocolEvent], spans: Optional[List[TxnSpan]] = None
 ) -> GuessGraph:
-    """Extract the guess-dependency graph from a recorded timeline."""
-    events = normalize_events(events)
+    """Extract the guess-dependency graph from a recorded timeline.
+
+    The evidence (``guess_made`` and denying ``validated`` events) is read
+    from the spans' own events; ``events`` is only used to build the spans
+    when none are given.
+    """
     if spans is None:
-        spans = build_spans(events)
+        spans = build_spans(normalize_events(events))
     edges: List[GuessEdge] = []
     seen = set()
 
@@ -729,9 +662,7 @@ def build_guess_graph(
             )
         )
 
-    for event in events:
-        if event.txn_vt is None:
-            continue
+    for event in (e for span in spans for e in span.events):
         if event.kind == "guess_made" and event.data.get("guess") == "RC":
             depends_on = event.data.get("depends_on")
             if depends_on is not None:
@@ -749,6 +680,8 @@ def build_guess_graph(
             obj = obj_match.group(1) if obj_match else "?"
             for token in event.data.get("against", ()) or ():
                 add(event.txn_vt, _against_token(token), guess, obj, event)
+    # Span by span is not timeline order; a stable sort by seq restores it.
+    edges.sort(key=lambda e: e.seq)
     return GuessGraph(spans, edges)
 
 
@@ -762,14 +695,15 @@ def analyze_events(events: Sequence[ProtocolEvent]) -> Dict[str, Any]:
 
     Used by ``repro trace --analyze`` and embedded (minus the DAG itself)
     in explorer violation artifacts: the critical-path report, the
-    guess-dependency cascade of every aborted transaction, the lifecycle
-    chain of the first abort validated against the happens-before DAG,
-    and straggler cascades (the dependency chain behind each
-    ``straggler_detected`` event).
+    guess-dependency cascade and happens-before causal chain of every
+    aborted transaction, and straggler cascades (the dependency chain
+    behind each ``straggler_detected`` event).  The timeline is
+    normalized once; one pass builds the DAG and the lifecycle records
+    every other part reads.
     """
     events = normalize_events(events)
-    spans = build_spans(events)
     graph = build_causal_graph(events)
+    spans = graph.lifecycle.spans()
     guesses = build_guess_graph(events, spans)
     report = critical_path_report(events, spans)
 

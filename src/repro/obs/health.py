@@ -25,6 +25,10 @@ exposed to:
 
 Each rule fires on a *rising edge* (entering the bad state), not on every
 event while the state persists, so reports stay small and stable.
+
+Rules that need a transaction's lifecycle (the notify-lag rules read its
+origin commit) read it from a :class:`~repro.obs.spans.LifecycleTracker`;
+a monitor shares one bounded tracker across all its rules.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import ProtocolEvent
+from repro.obs.spans import MAX_LIVE_TXNS, LifecycleTracker, TxnSpan
 
 #: Finding severities, in increasing order of badness.
 SEVERITIES: Tuple[str, ...] = ("info", "warning", "critical")
@@ -76,6 +81,10 @@ class HealthRule:
     """
 
     name = "base"
+    #: The lifecycle tracker a rule reads transactions from, or None for
+    #: rules that never look at lifecycles.  A standalone rule feeds its
+    #: own; :class:`HealthMonitor` hands all its rules one shared tracker.
+    lifecycle: Optional[LifecycleTracker] = None
 
     def observe(self, event: ProtocolEvent) -> List[HealthFinding]:
         raise NotImplementedError
@@ -92,6 +101,19 @@ def _is_origin_resolution(event: ProtocolEvent) -> bool:
         and event.txn_vt is not None
         and event.site == event.txn_vt.site
     )
+
+
+def _notify_lag(event: ProtocolEvent, span: Optional[TxnSpan]) -> Optional[float]:
+    """How long after its origin commit a pessimistic view learned of the
+    transaction (None for any other event, or an unseen commit)."""
+    if (
+        event.kind != "view_notified"
+        or event.data.get("mode") != "pessimistic"
+        or span is None
+        or span.origin_commit is None
+    ):
+        return None
+    return event.time_ms - span.origin_commit.time_ms
 
 
 class AbortRateSpike(HealthRule):
@@ -195,23 +217,13 @@ class NotifyLagSLO(HealthRule):
 
     def __init__(self, slo_ms: float = 120.0) -> None:
         self.slo_ms = slo_ms
-        self._commit_ms: Dict[Any, float] = {}  # vt.key -> origin commit time
+        self.lifecycle = LifecycleTracker(MAX_LIVE_TXNS)
         self._flagged: set = set()
 
     def observe(self, event: ProtocolEvent) -> List[HealthFinding]:
-        if event.kind == "committed" and _is_origin_resolution(event):
-            self._commit_ms.setdefault(event.txn_vt.key, event.time_ms)
+        lag = _notify_lag(event, self.lifecycle.observe(event))
+        if lag is None:
             return []
-        if (
-            event.kind != "view_notified"
-            or event.data.get("mode") != "pessimistic"
-            or event.txn_vt is None
-        ):
-            return []
-        committed_at = self._commit_ms.get(event.txn_vt.key)
-        if committed_at is None:
-            return []
-        lag = event.time_ms - committed_at
         key = (event.site, event.txn_vt.key)
         if lag > self.slo_ms and key not in self._flagged:
             self._flagged.add(key)
@@ -408,22 +420,11 @@ class NotifyLagBurnRate(MultiWindowBurnRate):
     def __init__(self, slo_ms: float = 120.0, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.slo_ms = slo_ms
-        self._commit_ms: Dict[Any, float] = {}
+        self.lifecycle = LifecycleTracker(MAX_LIVE_TXNS)
 
     def classify(self, event: ProtocolEvent) -> Optional[bool]:
-        if event.kind == "committed" and _is_origin_resolution(event):
-            self._commit_ms.setdefault(event.txn_vt.key, event.time_ms)
-            return None
-        if (
-            event.kind != "view_notified"
-            or event.data.get("mode") != "pessimistic"
-            or event.txn_vt is None
-        ):
-            return None
-        committed_at = self._commit_ms.get(event.txn_vt.key)
-        if committed_at is None:
-            return None
-        return event.time_ms - committed_at > self.slo_ms
+        lag = _notify_lag(event, self.lifecycle.observe(event))
+        return None if lag is None else lag > self.slo_ms
 
 
 class AbortRateBurnRate(MultiWindowBurnRate):
@@ -524,11 +525,16 @@ class HealthMonitor:
     The monitor is itself a valid bus subscriber: ``bus.subscribe(monitor)``
     streams events into every rule as the protocol runs.  Call
     :meth:`finish` once the run ends to flush deadline-based rules, then
-    :meth:`report`.
+    :meth:`report`.  Rules that read lifecycles share :attr:`lifecycle`,
+    which holds at most :data:`~repro.obs.spans.MAX_LIVE_TXNS` records.
     """
 
     def __init__(self, rules: Optional[List[HealthRule]] = None) -> None:
         self.rules = default_rules() if rules is None else rules
+        self.lifecycle = LifecycleTracker(MAX_LIVE_TXNS)
+        for rule in self.rules:
+            if rule.lifecycle is not None:
+                rule.lifecycle = self.lifecycle
         self.findings: List[HealthFinding] = []
         self.events_seen = 0
         self._last_ms = 0.0

@@ -12,12 +12,12 @@ Topology and guarantees:
   per remote site, owned by a sender task.  TCP ordering plus the single
   writer per destination preserves per-pair FIFO.
 * **Frame coalescing**: each sender wakeup drains its whole queue (up to
-  ``coalesce_max_bytes``) into a single buffered write, so a protocol
+  :data:`COALESCE_MAX_BYTES`) into a single buffered write, so a protocol
   turn's fan-out of small frames costs one syscall instead of one per
   frame.  Frames stay whole and in order; coalescing only batches them.
 * **Reconnect with backoff**: a broken or unreachable peer connection is
   retried with exponential backoff (``reconnect_base_ms`` doubling up to
-  ``reconnect_max_ms``).  The frame being sent is not lost — the sender
+  :data:`RECONNECT_MAX_MS`).  The frame being sent is not lost — the sender
   holds it until a write succeeds.
 * **Fail-stop detection**: once a peer has been continuously unreachable
   for ``fail_after_ms``, it is declared failed, registered failure
@@ -26,6 +26,14 @@ Topology and guarantees:
 * Delivery is decode-then-dispatch: payloads cross the boundary as codec
   bytes, never as live objects, so this transport only carries what the
   wire format can express.
+
+Counters live in the transport's :class:`~repro.obs.metrics.MetricsRegistry`
+and are read by name, e.g. ``transport.metrics.value("transport.writes")``:
+frames written/read (``frames_sent``/``frames_received``), socket writes
+(``writes``) and frames that shared a write (``frames_coalesced``), dial
+and reconnect tallies, traces the sampler dropped
+(``sends_sampled_out``/``deliveries_sampled_out``), and inbound frames
+with no registered handler (``frames_dropped_unrouted``).
 
 Every site is addressed by a ``(tenant, site)`` pair and routed through
 a :class:`Placement`; without one, each tenant's site *i* lives at
@@ -74,39 +82,13 @@ RTT_BUCKETS_MS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 )
 
+#: High-water mark for one coalesced write: a sender wakeup batches queued
+#: frames until the buffered write would exceed this many bytes.
+COALESCE_MAX_BYTES = 64 * 1024
 
-def _transport_counter(name: str) -> property:
-    """A registry-backed int attribute on the transport itself.
-
-    Like :func:`repro.obs.metrics.counter_property` but reading
-    ``self.metrics`` directly — a transport is not a site.  Keeps the
-    pre-registry attribute API (``transport.frames_sent``, ...) working
-    while `repro metrics` and the Prometheus exporter see every counter
-    uniformly.
-    """
-
-    def _get(self) -> int:
-        return self.metrics.value(name)
-
-    def _set(self, value: int) -> None:
-        self.metrics.set_counter(name, value)
-
-    return property(_get, _set, doc=f"Registry-backed counter {name!r}.")
-
-
-def maybe_install_uvloop() -> bool:
-    """Install the uvloop event-loop policy when the package is available.
-
-    uvloop is an optional accelerator, never a dependency: this returns
-    False (and changes nothing) when it is not importable.  Call before
-    ``asyncio.run`` — an already-running loop is not replaced.
-    """
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
+#: Ceiling of the reconnect backoff, which doubles from
+#: ``reconnect_base_ms`` after each failed dial.
+RECONNECT_MAX_MS = 1000.0
 
 
 class Placement:
@@ -186,9 +168,7 @@ class TcpTransport(Transport):
         site_addrs: Dict[int, Tuple[str, int]],
         local_sites: Iterable[int],
         reconnect_base_ms: float = 25.0,
-        reconnect_max_ms: float = 1000.0,
         fail_after_ms: float = 10_000.0,
-        coalesce_max_bytes: int = 64 * 1024,
         sampler: Optional[TraceSampler] = None,
         placement: Optional[Placement] = None,
     ) -> None:
@@ -203,11 +183,7 @@ class TcpTransport(Transport):
         #: Addresses this process listens on (loopback short-circuit).
         self._local_addrs: Set[Addr] = {self.site_addrs[s] for s in self.local_sites}
         self.reconnect_base_ms = reconnect_base_ms
-        self.reconnect_max_ms = reconnect_max_ms
         self.fail_after_ms = fail_after_ms
-        #: High-water mark for one coalesced write: a sender wakeup batches
-        #: queued frames until the buffered write would exceed this.
-        self.coalesce_max_bytes = coalesce_max_bytes
         self._handlers: Dict[SiteKey, DeliveryHandler] = {}
         #: Cross-tenant isolation: a notice for tenant A's site never
         #: reaches tenant B's listeners.
@@ -259,31 +235,6 @@ class TcpTransport(Transport):
         #: trace id; the decision rides the frame's TraceContext so every
         #: receiving process records or skips the same transaction.
         self.sampler = sampler
-
-    #: Frames successfully written to / read from peer sockets, socket
-    #: writes issued, and frames that shared a write with an earlier frame
-    #: (``frames_sent - writes``).  Registry-backed since the telemetry
-    #: rework (`repro metrics` and the Prometheus exporter enumerate them);
-    #: the attribute API is unchanged.
-    frames_sent = _transport_counter("transport.frames_sent")
-    frames_received = _transport_counter("transport.frames_received")
-    writes = _transport_counter("transport.writes")
-    frames_coalesced = _transport_counter("transport.frames_coalesced")
-    #: Reconnect/backoff telemetry (also registry-backed).
-    dial_attempts = _transport_counter("transport.dial_attempts")
-    dial_failures = _transport_counter("transport.dial_failures")
-    reconnects = _transport_counter("transport.reconnects")
-    peer_unreachable_transitions = _transport_counter("transport.peer_unreachable")
-    peers_failed = _transport_counter("transport.peers_failed")
-    #: Trace-sampling tallies: sends whose trace the local sampler head-
-    #: dropped, and deliveries skipped because the *origin's* in-band
-    #: decision was drop (the only per-frame cost of a sampled-out trace).
-    sends_sampled_out = _transport_counter("transport.sends_sampled_out")
-    deliveries_sampled_out = _transport_counter("transport.deliveries_sampled_out")
-    #: Inbound frames whose (tenant, site) destination has no registered
-    #: handler — e.g. delivered after tenant eviction.  Dropped, never
-    #: raised: eviction must not crash the shared connection.
-    frames_dropped_unrouted = _transport_counter("transport.frames_dropped_unrouted")
 
     # ------------------------------------------------------------------
     # Transport interface
@@ -642,7 +593,7 @@ class TcpTransport(Transport):
             # sites and tenants).
             batch: List[Tuple[SiteKey, bytes]] = []
             size = 0
-            while frames and size < self.coalesce_max_bytes:
+            while frames and size < COALESCE_MAX_BYTES:
                 key, frame = frames.popleft()
                 if key in self._failed:
                     continue
@@ -718,7 +669,7 @@ class TcpTransport(Transport):
                     self._fail_addr(addr)
                     return False
                 await asyncio.sleep(backoff_ms / 1000.0)
-                backoff_ms = min(backoff_ms * 2, self.reconnect_max_ms)
+                backoff_ms = min(backoff_ms * 2, RECONNECT_MAX_MS)
                 continue
             link.writer = writer
             was_down = link.unreachable or link.ever_connected

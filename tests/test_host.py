@@ -202,7 +202,7 @@ class TestSessionTransportCounters:
         tcp = TcpTransport(addrs, local_sites={0})
         session = Session(transport=tcp, roster={0, 1})
         session.add_site("proc0", site_id=0)
-        tcp.frames_sent = 3
+        tcp.metrics.set_counter("transport.frames_sent", 3)
         counters = session.counters()
         assert counters["transport.frames_sent"] == 3
         assert "commits" in counters

@@ -160,8 +160,8 @@ def run_pair(rate, msgs, record_dropped=False, reply=False):
             "delivered": list(inbox),
             "a_events": list(a.bus.events),
             "b_events": list(b.bus.events),
-            "a_sends_dropped": a.sends_sampled_out,
-            "b_deliveries_dropped": b.deliveries_sampled_out,
+            "a_sends_dropped": a.metrics.value("transport.sends_sampled_out"),
+            "b_deliveries_dropped": b.metrics.value("transport.deliveries_sampled_out"),
         }
         await a.stop()
         await b.stop()
@@ -266,8 +266,8 @@ class TestTransportSampling:
             await b.start()
             a.send(0, 0, 1, CommitMsg(VirtualTime(1, 0), 1))
             await wait_for(lambda: inbox, what="delivery")
-            assert a.sends_sampled_out == 0
-            assert b.deliveries_sampled_out == 0
+            assert a.metrics.value("transport.sends_sampled_out") == 0
+            assert b.metrics.value("transport.deliveries_sampled_out") == 0
             assert [e.kind for e in a.bus.events if e.kind == "message_sent"]
             await a.stop()
             await b.stop()

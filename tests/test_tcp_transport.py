@@ -57,8 +57,8 @@ class TestTcpTransport:
             await wait_for(lambda: len(inbox) == len(msgs), what="all frames")
             assert [p for _, p in inbox] == msgs  # per-pair FIFO preserved
             assert all(src == 0 for src, _ in inbox)
-            assert a.frames_sent == len(msgs)
-            assert b.frames_received == len(msgs)
+            assert a.metrics.value("transport.frames_sent") == len(msgs)
+            assert b.metrics.value("transport.frames_received") == len(msgs)
             await a.aquiesce(settle_ms=20.0)
             assert a.pending() == 0
             await a.stop()
@@ -233,10 +233,13 @@ class TestTcpTransport:
                 a.send(0, 0, 1, m)
             await wait_for(lambda: len(inbox) == len(msgs) + 1, what="burst")
             assert inbox == [probe] + msgs  # FIFO survives batching
-            assert a.frames_sent == len(msgs) + 1
-            assert a.writes < a.frames_sent  # batching actually happened
-            assert a.frames_coalesced == a.frames_sent - a.writes
-            assert a.frames_coalesced > 0
+            sent = a.metrics.value("transport.frames_sent")
+            writes = a.metrics.value("transport.writes")
+            coalesced = a.metrics.value("transport.frames_coalesced")
+            assert sent == len(msgs) + 1
+            assert writes < sent  # batching actually happened
+            assert coalesced == sent - writes
+            assert coalesced > 0
             await a.stop()
             await b.stop()
 
@@ -267,11 +270,6 @@ class TestTcpTransport:
             await z.stop()
 
         asyncio.run(main())
-
-    def test_maybe_install_uvloop_is_safe_without_uvloop(self):
-        from repro.transport.tcp import maybe_install_uvloop
-
-        assert maybe_install_uvloop() in (True, False)
 
 
 class TestTransportTelemetry:
